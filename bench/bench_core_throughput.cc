@@ -1,25 +1,15 @@
 /**
  * @file
- * Core simulation throughput: the pooled event queue vs the legacy
- * allocating design, plus whole-engine events/sec across trace scales.
+ * Core simulation throughput: whole-engine events/sec across trace
+ * scales, intra-trial shard scaling and trace loading.
  *
- * Two sections:
+ * Three sections:
  *
- *  1. A queue-only microbenchmark replaying a trace-shaped event stream
- *     (chained arrivals, completion events whose lambdas capture
- *     owner + two ids exactly like core::Engine's, periodic timeouts
- *     that are cancelled when the completion beats them, and a 1-second
- *     maintenance tick) through (a) a faithful copy of the pre-pool
- *     EventQueue — std::priority_queue + unordered_map<id,
- *     std::function> — and (b) the current sim::EventQueue.  The same
- *     deterministic stream runs through both, so the speedup is
- *     apples-to-apples at any commit.
- *
- *  2. Engine end-to-end events/sec for a few policies × trace scales,
+ *  1. Engine end-to-end events/sec for a few policies × trace scales,
  *     using Engine::eventsExecuted() (the same figure the [exp]
  *     telemetry line reports).
  *
- *  3. Intra-trial shard scaling: ONE large partitioned trial
+ *  2. Intra-trial shard scaling: ONE large partitioned trial
  *     (shard_cells = 4) executed with 1, 2 and 4 shard threads via
  *     core::ShardedEngine — the wall-clock payoff of the `--shards`
  *     knob.  Workers are pinned per --pin (default auto: one worker
@@ -33,16 +23,19 @@
  *     2-core SMT laptop cannot reach 2x, and CI gates on the speedup
  *     only when physical_cores exceeds the shard count.
  *
- *  4. Trace loading: CSV parse (write once, best-of-N reparse) vs
+ *  3. Trace loading: CSV parse (write once, best-of-N reparse) vs
  *     `.ctrb` mmap open (validation included) on a ~1M-request trace
  *     (smaller under --smoke).  This is the payoff of the zero-copy
  *     trace substrate: open cost is one checksum sweep over mapped
  *     pages instead of per-request parsing plus seal() sorting.
  *
+ * A policy-scaling table (wall-time growth across the engine scales)
+ * follows in full runs.
+ *
  * Results are printed as tables and written as JSON (default
  * BENCH_core.json in the working directory; override with --out).
- * The workload is the 200-function azure-like reference trace at the
- * --seed option (default 42).
+ * Every workload is the azure-like trace (trace::makeAzureLikeTrace) at
+ * the --seed option (default 42) and the section's scale.
  */
 
 #include <chrono>
@@ -50,20 +43,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
-#include <queue>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
 #include "core/sharded_engine.h"
 #include "exp/telemetry.h"
 #include "policies/registry.h"
-#include "sim/event_queue.h"
 #include "sim/thread_pool.h"
 #include "sim/topology.h"
 #include "trace/trace_image.h"
@@ -71,184 +60,6 @@
 
 namespace cidre::bench {
 namespace {
-
-/**
- * Verbatim re-creation of the event queue this PR replaced: lazy
- * cancellation, one unordered_map node per event, std::function
- * callback storage.  Kept here (not in src/) so the comparison baseline
- * survives in-tree without polluting the simulator.
- */
-class LegacyEventQueue
-{
-  public:
-    using Callback = std::function<void(sim::SimTime)>;
-    using EventId = std::uint64_t;
-
-    EventId schedule(sim::SimTime when, Callback cb)
-    {
-        const EventId id = next_id_++;
-        heap_.push(Entry{when, id});
-        callbacks_.emplace(id, std::move(cb));
-        return id;
-    }
-
-    EventId scheduleAfter(sim::SimTime delay, Callback cb)
-    {
-        return schedule(now_ + delay, std::move(cb));
-    }
-
-    void cancel(EventId id) { callbacks_.erase(id); }
-
-    bool runNext()
-    {
-        while (!heap_.empty() && !callbacks_.count(heap_.top().id))
-            heap_.pop();
-        if (heap_.empty())
-            return false;
-        const Entry entry = heap_.top();
-        heap_.pop();
-        auto node = callbacks_.extract(entry.id);
-        now_ = entry.when;
-        ++executed_;
-        node.mapped()(now_);
-        return true;
-    }
-
-    std::size_t runAll()
-    {
-        std::size_t count = 0;
-        while (runNext())
-            ++count;
-        return count;
-    }
-
-    sim::SimTime now() const { return now_; }
-    std::uint64_t executedCount() const { return executed_; }
-
-  private:
-    struct Entry
-    {
-        sim::SimTime when;
-        EventId id;
-        bool operator>(const Entry &other) const
-        {
-            if (when != other.when)
-                return when > other.when;
-            return id > other.id;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::unordered_map<EventId, Callback> callbacks_;
-    sim::SimTime now_ = 0;
-    EventId next_id_ = 1;
-    std::uint64_t executed_ = 0;
-};
-
-/**
- * Replays the trace through a queue the way core::Engine drives it:
- * each arrival chains the next one and schedules a completion whose
- * lambda captures (driver pointer, u32, u64) — the same 24-byte shape
- * as the engine's [this, cid, request_index] captures, which is what
- * defeats libstdc++ std::function's 16-byte inline buffer.  Every 8th
- * request also arms a timeout event that the completion cancels.
- */
-template <class Queue>
-class TraceDriver
-{
-  public:
-    explicit TraceDriver(const trace::Trace &workload)
-        : workload_(workload)
-    {
-    }
-
-    std::uint64_t run()
-    {
-        scheduleArrival(0);
-        queue_.schedule(sim::sec(1),
-                        [this](sim::SimTime now) { tick(now); });
-        queue_.runAll();
-        return queue_.executedCount();
-    }
-
-  private:
-    void scheduleArrival(std::uint64_t index)
-    {
-        const auto &requests = workload_.requests();
-        if (index >= requests.size())
-            return;
-        queue_.schedule(requests[index].arrival_us,
-                        [this, index](sim::SimTime now) {
-                            onArrival(index, now);
-                        });
-    }
-
-    void onArrival(std::uint64_t index, sim::SimTime now)
-    {
-        scheduleArrival(index + 1);
-        const trace::Request &request = workload_.requests()[index];
-        const std::uint32_t container =
-            static_cast<std::uint32_t>(index % 4096);
-        typename Queue::EventId timeout = 0;
-        if (index % 8 == 0) {
-            timeout = queue_.schedule(
-                now + request.exec_us + sim::sec(2),
-                [this, container, index](sim::SimTime) { ++timeouts_; });
-        }
-        queue_.schedule(now + request.exec_us,
-                        [this, container, index, timeout](sim::SimTime) {
-                            completed_ += container % 2 == 0 ? 1 : 1;
-                            if (timeout != 0)
-                                queue_.cancel(timeout);
-                        });
-    }
-
-    void tick(sim::SimTime now)
-    {
-        if (now >= workload_.duration())
-            return;
-        queue_.schedule(now + sim::sec(1),
-                        [this](sim::SimTime t) { tick(t); });
-    }
-
-    const trace::Trace &workload_;
-    Queue queue_;
-    std::uint64_t completed_ = 0;
-    std::uint64_t timeouts_ = 0;
-};
-
-struct QueueRun
-{
-    std::uint64_t events = 0;
-    double wall_ms = 0.0;
-    double events_per_sec = 0.0;
-    double ns_per_event = 0.0;
-};
-
-template <class Queue>
-QueueRun
-measureQueue(const trace::Trace &workload, int reps)
-{
-    QueueRun best;
-    for (int rep = 0; rep < reps; ++rep) {
-        TraceDriver<Queue> driver(workload);
-        const auto started = std::chrono::steady_clock::now();
-        const std::uint64_t events = driver.run();
-        const double wall_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - started)
-                .count();
-        if (rep == 0 || wall_ms < best.wall_ms) {
-            best.events = events;
-            best.wall_ms = wall_ms;
-        }
-    }
-    best.events_per_sec =
-        static_cast<double>(best.events) / (best.wall_ms / 1000.0);
-    best.ns_per_event = 1e9 / best.events_per_sec;
-    return best;
-}
 
 struct EngineRun
 {
@@ -269,9 +80,8 @@ measureEngine(const std::string &policy, double scale,
     run.scale = scale;
     run.requests = workload.requestCount();
 
-    // Best-of-N, like the queue section: engines are deterministic, so
-    // the fastest rep is the least-perturbed measurement of the same
-    // work.
+    // Best-of-N: engines are deterministic, so the fastest rep is the
+    // least-perturbed measurement of the same work.
     for (int rep = 0; rep < reps; ++rep) {
         core::EngineConfig config = defaultConfig();
         core::Engine engine(workload, config,
@@ -474,55 +284,16 @@ main(int argc, char **argv)
     const Options options = parseOptions(
         static_cast<int>(rest.size()), rest.data(),
         "bench_core_throughput",
-        "event-queue and engine throughput "
+        "engine, shard and trace-load throughput "
         "(also: --out <json-path>, --smoke, --pin auto|off|physical)");
 
     banner("Core simulation throughput",
            "the hot-path budget behind every figure");
 
-    // The 200-function reference trace: the azure-like preset trimmed to
-    // 200 functions, at the shared --seed (42 unless overridden).
-    trace::SyntheticSpec spec = trace::azureLikeSpec();
-    spec.functions = 200;
-    const trace::Trace reference = trace::generate(spec, options.seed);
-
-    std::cout << "reference trace: " << reference.functionCount()
-              << " functions, " << reference.requestCount()
-              << " requests, seed " << options.seed << "\n\n";
-
     // Peak RSS is sampled after each section; the probe is
     // process-monotone, so each sample is the high-water mark up to and
     // including that section (the per-size isolation lives in
     // bench_out_of_core, which forks one process per measurement).
-    const int reps = 5;
-    QueueRun legacy;
-    QueueRun pooled;
-    double speedup = 0.0;
-    std::int64_t rss_queue_mb = -1;
-    if (!smoke) {
-        std::cerr << "[bench] replaying event stream through legacy queue ("
-                  << reps << " reps, best kept)...\n";
-        legacy = measureQueue<LegacyEventQueue>(reference, reps);
-        std::cerr << "[bench] replaying event stream through pooled "
-                     "queue...\n";
-        pooled = measureQueue<sim::EventQueue>(reference, reps);
-        speedup = pooled.events_per_sec / legacy.events_per_sec;
-
-        stats::Table queue_table({"queue", "events", "wall_ms",
-                                  "events_per_sec", "ns_per_event"});
-        queue_table.addRow({"legacy", std::to_string(legacy.events),
-                            stats::formatFixed(legacy.wall_ms, 1),
-                            stats::formatFixed(legacy.events_per_sec, 0),
-                            stats::formatFixed(legacy.ns_per_event, 1)});
-        queue_table.addRow({"pooled", std::to_string(pooled.events),
-                            stats::formatFixed(pooled.wall_ms, 1),
-                            stats::formatFixed(pooled.events_per_sec, 0),
-                            stats::formatFixed(pooled.ns_per_event, 1)});
-        emit(options, "core_throughput_queue", queue_table);
-        std::cout << "pooled/legacy speedup: "
-                  << stats::formatFixed(speedup, 2) << "x\n";
-        rss_queue_mb = exp::peakRssMb();
-    }
 
     // Engine end-to-end: events/sec across policies and trace scales.
     const std::vector<std::string> policies = {"ttl", "faascache", "cidre"};
@@ -689,25 +460,7 @@ main(int argc, char **argv)
          << "  \"bench\": \"bench_core_throughput\",\n"
          << "  \"build\": \"" << buildInfo() << "\",\n"
          << "  \"seed\": " << options.seed << ",\n"
-         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-         << "  \"reference_trace\": {\"functions\": "
-         << reference.functionCount() << ", \"requests\": "
-         << reference.requestCount() << "},\n";
-    if (!smoke) {
-        json << "  \"queue\": {\n"
-             << "    \"legacy\": {\"events\": " << legacy.events
-             << ", \"wall_ms\": " << legacy.wall_ms
-             << ", \"events_per_sec\": " << legacy.events_per_sec
-             << ", \"ns_per_event\": " << legacy.ns_per_event << "},\n"
-             << "    \"pooled\": {\"events\": " << pooled.events
-             << ", \"wall_ms\": " << pooled.wall_ms
-             << ", \"events_per_sec\": " << pooled.events_per_sec
-             << ", \"ns_per_event\": " << pooled.ns_per_event << "},\n";
-        json.precision(2);
-        json << "    \"speedup\": " << speedup << ",\n"
-             << "    \"peak_rss_mb\": " << rss_queue_mb << "\n  },\n";
-        json.precision(1);
-    }
+         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
     json << "  \"engine\": [\n";
     for (std::size_t i = 0; i < engine_runs.size(); ++i) {
         const EngineRun &run = engine_runs[i];

@@ -140,8 +140,6 @@ const std::vector<OptionSpec> kSweepSpecs = {
                     " --cells > 1)", "1"},
     {"pin", "mode", "shard-worker CPU pinning: auto|off|physical"
                     " (results-neutral)", "auto"},
-    {"epoch-events", "n", "target events per lockstep epoch in sharded"
-                          " trials (results-neutral; 0 = one-shot)", "0"},
     {"progress", "", "per-trial telemetry on stderr", ""},
 };
 
@@ -159,8 +157,6 @@ runnerOptions(const Options &options, std::ostream &err)
     runner.shards = static_cast<unsigned>(options.getInt("shards", 1));
     runner.progress = options.getFlag("progress") ? &err : nullptr;
     runner.pin = sim::parsePinMode(options.getString("pin", "auto"));
-    runner.epoch_events = static_cast<std::uint64_t>(
-        options.getInt("epoch-events", 0));
     return runner;
 }
 
@@ -264,7 +260,7 @@ appendEngineSpecs(std::vector<OptionSpec> &specs)
  * The `run` knobs that switch from one-shot execution to the stepped
  * driver: windowed streaming replay, periodic checkpoints, resume and
  * early stop.  All of them are results-neutral — the stepped loop's
- * epoch boundaries never change metrics (pinned by the golden tests),
+ * boundaries never change metrics (pinned by the golden tests),
  * so a resumed run is bit-identical to an uninterrupted one.
  */
 struct SteppedKnobs
@@ -335,7 +331,7 @@ constexpr std::uint8_t kCkptEngineSharded = 1;
  * boundaries the uninterrupted run would have.
  */
 SteppedOutcome
-runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
+runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
                 const core::EngineConfig &config, const Workload &workload,
                 const exp::RunnerOptions &runner_options, std::ostream &err)
 {
@@ -380,8 +376,7 @@ runSteppedTrial(const SteppedKnobs &knobs, const std::string &policy,
     sim::ThreadPool *pool_ptr = nullptr;
     const unsigned shards = std::max(1u, runner_options.shards);
     if (sharded && shards > 1) {
-        pool.emplace(sim::ThreadPoolOptions{
-            shards, runner_options.spin_iterations, {}});
+        pool.emplace(shards);
         pool_ptr = &*pool;
     }
 
@@ -827,7 +822,7 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                 " gather the columns out of arrival order, so a windowed"
                 " cursor cannot bound their residency)");
         }
-        const SteppedOutcome outcome = runSteppedTrial(
+        const SteppedOutcome outcome = runTrialInSteps(
             stepped, policy, config, single_workload, runner_options, err);
         if (outcome.stopped_early) {
             out << "stopped at " << sim::toSec(outcome.stop_time)
@@ -849,19 +844,16 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
                     return policies::makePolicy(policy, cell_config);
                 });
             const unsigned shards = std::max(1u, runner_options.shards);
-            core::ShardExecOptions exec;
-            exec.epoch_events = runner_options.epoch_events;
-            exec.barrier_spin = runner_options.spin_iterations;
             if (shards > 1) {
+                core::ShardExecOptions exec;
                 exec.pin_cpus = sim::resolvePinCpus(
                     runner_options.pin, sim::CpuTopology::detect(),
                     shards);
                 sim::ThreadPool pool(sim::ThreadPoolOptions{
-                    shards, runner_options.spin_iterations,
-                    exec.pin_cpus});
+                    shards, sim::kDefaultPoolSpin, exec.pin_cpus});
                 metrics = engine.run(&pool, exec);
             } else {
-                metrics = engine.run(nullptr, exec);
+                metrics = engine.run();
             }
         } else {
             core::Engine engine(single_workload.view(), config,
@@ -1052,8 +1044,8 @@ runLive(const Options &options, std::ostream &out, std::ostream &err)
     }
 
     // The consumer (this thread) drains until the producers have joined;
-    // a closer thread flips the done flag after the final push so the
-    // orchestrator's empty-ring re-drain check is race-free.
+    // a closer thread flips the done flag after the final push, and the
+    // orchestrator admits whatever its drain after seeing the flag finds.
     live::LiveStats live_stats;
     const auto consume = [&](auto &engine) {
         engine.beginLive();
@@ -1293,10 +1285,6 @@ tuneSpecs()
         s.push_back({"pin", "mode", "shard-worker CPU pinning:"
                                     " auto|off|physical (results-neutral)",
                      "auto"});
-        s.push_back({"epoch-events", "n", "target events per lockstep"
-                                          " epoch in sharded trials"
-                                          " (results-neutral; 0 ="
-                                          " one-shot)", "0"});
         s.push_back({"progress", "", "per-trial telemetry on stderr", ""});
         return s;
     }();

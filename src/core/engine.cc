@@ -257,9 +257,9 @@ Engine::finish()
             " requests completed — orchestration deadlock");
     }
     // Finalize at the last *executed* event, not at now(): a stepped
-    // driver's final epoch deadline may overshoot the last event, and
-    // the time-integral metrics (makespan, average memory) must not
-    // depend on where the epoch boundaries fell.
+    // driver's final deadline may overshoot the last event, and the
+    // time-integral metrics (makespan, average memory) must not depend
+    // on where the step boundaries fell.
     metrics_.finalize(queue_.lastEventTime());
     return std::move(metrics_);
 }

@@ -81,8 +81,9 @@ class Engine
 
     /**
      * True once begin() ran and no runnable event remains — i.e. a
-     * stepUntil() loop has fully drained the simulation.  Used by the
-     * sharded runtime to terminate its lockstep epochs.
+     * stepUntil() loop has fully drained the simulation.  Used by
+     * stepped drivers (checkpointed runs, ShardedEngine::drained) to
+     * stop stepping.
      */
     bool drained() const { return ran_ && queue_.empty(); }
 
@@ -168,13 +169,6 @@ class Engine
 
     /** Simulation events executed so far (throughput telemetry). */
     std::uint64_t eventsExecuted() const { return queue_.executedCount(); }
-
-    /**
-     * Timestamp of the next runnable event, or sim::kTimeInfinity when
-     * drained.  Lets a stepped driver jump its epoch boundary straight
-     * to the next event instead of sweeping empty simulated time.
-     */
-    sim::SimTime nextEventTime() const { return queue_.peekTime(); }
 
     /**
      * T_e estimate: the configured percentile (or mean) of the recent

@@ -7,7 +7,9 @@
 #define CIDRE_CORE_METRICS_H
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.h"
@@ -41,10 +43,16 @@ enum class StartType : std::uint8_t
 
 const char *startTypeName(StartType type);
 
-/** Outcome of one request (retained when record_per_request is set). */
+/**
+ * Outcome of one request (retained when record_per_request is set).
+ * Checkpointed raw (StateWriter::putVector), so every byte is a member:
+ * `pad` fills the alignment gap after `type` and is always zero,
+ * keeping checkpoint bytes a function of logical state.
+ */
 struct RequestOutcome
 {
     StartType type = StartType::Warm;
+    std::uint8_t pad[7] = {};
     sim::SimTime wait_us = 0; //!< invocation overhead
     sim::SimTime exec_us = 0;
 
@@ -57,6 +65,10 @@ struct RequestOutcome
      */
     sim::SimTime counterfactual_queue_us = -1;
 };
+static_assert(sizeof(RequestOutcome) == 32 &&
+                  offsetof(RequestOutcome, wait_us) == 8 &&
+                  std::has_unique_object_representations_v<RequestOutcome>,
+              "RequestOutcome must have no implicit padding");
 
 /**
  * Aggregated results of one simulation run.

@@ -43,26 +43,13 @@
  * ShardExecOptions carries the knobs that make the sharded run *fast*
  * without touching what it computes:
  *
- *  - **Placement.**  pin_cpus maps cell (one-shot mode) or team index
- *    (stepped mode) to a CPU; bodies pin via sim::ScopedAffinity before
- *    touching cell state.  Cells are built lazily *on the thread that
- *    runs them* (first-touch), so a cell's sub-trace, cluster state and
- *    metrics pages are allocated on the NUMA node of the worker that
- *    will simulate it.  CellRuntime is cache-line aligned and per-cell
- *    counters are padded, so neighbouring cells never false-share.
- *
- *  - **Epochs.**  epoch_events > 0 selects lockstep-epoch execution on
- *    a resident worker team: one parallelFor dispatch for the whole
- *    trial, workers statically own cells (team index w owns cells
- *    k % W == w) and meet at a sense-reversing EpochBarrier between
- *    epochs.  The epoch length adapts toward the events-per-epoch
- *    target from *global* per-epoch sums, so the sequence of epoch
- *    boundaries — like everything else — is a pure function of the
- *    workload and config, never of the thread count.  Since cells are
- *    mutually independent, epoch boundaries cannot change results at
- *    all; they exist so future cross-cell couplings (and progress
- *    telemetry) have a deterministic synchronization spine that costs
- *    nanoseconds, not futex round trips, per crossing.
+ *  - **Placement.**  pin_cpus maps each cell to a CPU; the loop body
+ *    pins via sim::ScopedAffinity before touching cell state.  Cells
+ *    are built lazily *on the thread that runs them* (first-touch), so
+ *    a cell's sub-trace, cluster state and metrics pages are allocated
+ *    on the NUMA node of the worker that will simulate it.  CellRuntime
+ *    is cache-line aligned and per-cell counters are padded, so
+ *    neighbouring cells never false-share.
  */
 
 #ifndef CIDRE_CORE_SHARDED_ENGINE_H
@@ -77,7 +64,6 @@
 #include "core/engine.h"
 #include "core/metrics.h"
 #include "core/policy.h"
-#include "sim/epoch_barrier.h"
 #include "sim/thread_pool.h"
 #include "sim/topology.h"
 #include "trace/trace_view.h"
@@ -86,9 +72,6 @@ namespace cidre::core {
 
 /** Floor of requests per cell enforced by autoCellCount(). */
 inline constexpr std::uint64_t kMinRequestsPerCell = 4096;
-
-/** Default adaptive target of `--epoch-events` stepped execution. */
-inline constexpr std::uint64_t kDefaultEpochEvents = 1ull << 15;
 
 /**
  * The `--cells auto` planner: derive a cell count from the workload,
@@ -113,20 +96,10 @@ std::uint32_t autoCellCount(trace::TraceView workload,
 struct ShardExecOptions
 {
     /**
-     * CPU per cell (one-shot) / team index (stepped): entry [i % size].
-     * Empty = run unpinned.  Typically sim::resolvePinCpus(...).
+     * CPU of cell k: entry [k % size].  Empty = run unpinned.
+     * Typically sim::resolvePinCpus(...).
      */
     std::vector<int> pin_cpus;
-
-    /**
-     * Target events per lockstep epoch; 0 = one-shot execution (each
-     * cell runs to completion in a single pass, the fastest mode for
-     * fully independent cells).
-     */
-    std::uint64_t epoch_events = 0;
-
-    /** Spin budget of the epoch barrier (stepped mode only). */
-    unsigned barrier_spin = sim::kDefaultBarrierSpin;
 };
 
 /** Deterministic partition of one trial into independent cells. */
@@ -193,16 +166,16 @@ class ShardedEngine
      * Run the whole trial and return the merged metrics.  @p pool
      * supplies the shard threads (nullptr = run cells serially on the
      * calling thread); the result is bit-identical either way, and for
-     * every @p exec (pinning, epoch mode): execution options are pure
-     * wall-clock knobs.  Single-shot, like Engine::run().
+     * every @p exec: pinning is a pure wall-clock knob.  Single-shot,
+     * like Engine::run().
      *
-     * Cells are built inside the loop bodies (first-touch placement);
-     * exec.epoch_events > 0 selects the resident-team stepped mode.
+     * Each cell is built, pinned and run to completion inside its own
+     * loop body (first-touch placement).
      */
     RunMetrics run(sim::ThreadPool *pool = nullptr,
                    const ShardExecOptions &exec = {});
 
-    // ---- stepped execution (lockstep epochs) --------------------------
+    // ---- manual stepping (checkpointed runs, tune forks) ---------------
 
     /**
      * Arm every cell without executing events.  Single-shot.  Builds
@@ -213,10 +186,9 @@ class ShardedEngine
     void begin();
 
     /**
-     * One lockstep epoch: drive every cell up to and including @p until
-     * (simulated time), cells in parallel on @p pool.  The epoch
-     * boundary is a barrier — all cells reach @p until before the call
-     * returns.  @return events executed across cells this epoch.
+     * Drive every cell up to and including @p until (simulated time),
+     * cells in parallel on @p pool; all cells reach @p until before the
+     * call returns.  @return events executed across cells.
      */
     std::size_t stepUntil(sim::SimTime until,
                           sim::ThreadPool *pool = nullptr);
@@ -290,10 +262,10 @@ class ShardedEngine
 
     /**
      * Visit every cell engine in canonical cell order (the `tune` fork
-     * point: swap policies / reseed each cell between epochs).  Requires
-     * the cells to be built — true after begin() or loadState().  Runs
-     * on the calling thread; call at a quiescent point (between
-     * stepUntil() epochs).
+     * point: swap policies / reseed each cell).  Requires the cells to
+     * be built — true after begin() or loadState().  Runs on the
+     * calling thread; call at a quiescent point (between stepUntil()
+     * calls).
      */
     void forEachCell(const std::function<void(Engine &, std::uint32_t)> &fn);
 
@@ -334,10 +306,6 @@ class ShardedEngine
 
     /** Canonical cell-order fold of per-cell results (see finish()). */
     RunMetrics merge(std::vector<RunMetrics> per_cell);
-
-    /** Resident-team lockstep-epoch execution (see the file comment). */
-    std::vector<RunMetrics> runStepped(sim::ThreadPool &pool,
-                                       const ShardExecOptions &exec);
 
     trace::TraceView trace_;
     EngineConfig config_;

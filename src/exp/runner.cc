@@ -58,14 +58,12 @@ ExperimentRunner::ExperimentRunner(RunnerOptions options)
             options_.pin, sim::CpuTopology::detect(), shard_threads_);
     }
 
-    outer_pool_ = std::make_unique<sim::ThreadPool>(sim::ThreadPoolOptions{
-        outer, options_.spin_iterations, {}});
+    outer_pool_ = std::make_unique<sim::ThreadPool>(outer);
     if (shard_threads_ > 1) {
         inner_pools_.reserve(outer);
         for (unsigned slot = 0; slot < outer; ++slot)
             inner_pools_.push_back(std::make_unique<sim::ThreadPool>(
-                sim::ThreadPoolOptions{shard_threads_,
-                                       options_.spin_iterations,
+                sim::ThreadPoolOptions{shard_threads_, sim::kDefaultPoolSpin,
                                        pin_cpus_}));
     }
 }
@@ -168,8 +166,6 @@ ExperimentRunner::run(const std::vector<TrialSpec> &specs)
                     });
                 core::ShardExecOptions exec;
                 exec.pin_cpus = pin_cpus_;
-                exec.epoch_events = options_.epoch_events;
-                exec.barrier_spin = options_.spin_iterations;
                 result.metrics = engine.run(
                     inner_pools_.empty() ? nullptr
                                          : inner_pools_[slot].get(),

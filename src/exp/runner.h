@@ -190,16 +190,6 @@ struct RunnerOptions
      * cores (sim::resolvePinCpus).  Purely wall-clock.
      */
     sim::PinMode pin = sim::PinMode::Auto;
-
-    /**
-     * Target events per lockstep epoch inside sharded trials (the
-     * `--epoch-events` knob); 0 = one-shot cell execution.  Purely
-     * wall-clock (core::ShardExecOptions::epoch_events).
-     */
-    std::uint64_t epoch_events = 0;
-
-    /** Spin budget of pool waits and epoch barriers (iterations). */
-    unsigned spin_iterations = sim::kDefaultPoolSpin;
 };
 
 /** Default worker count: the hardware concurrency (at least 1). */
@@ -212,7 +202,7 @@ unsigned defaultJobs();
  * failing index is rethrown after the pool drains.
  *
  * One-shot convenience over sim::ThreadPool; code that dispatches many
- * loops (sweeps, epoch-stepped shards) should hold a pool instead —
+ * loops (sweeps, sharded trials) should hold a pool instead —
  * ExperimentRunner does.
  */
 void parallelFor(unsigned jobs, std::size_t count,

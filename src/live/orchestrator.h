@@ -121,18 +121,20 @@ consumeStream(Driver &&driver, IngestRing &ring,
     unsigned idle_polls = 0;
     const auto loop_start = Clock::now();
     for (;;) {
-        const std::size_t n = ring.drain(batch.data(), batch.size());
+        std::size_t n = ring.drain(batch.data(), batch.size());
         if (n == 0) {
-            // Check done *before* the re-drain: the flag is set after
-            // the final push, so an empty re-drain proves completion.
-            if (producers_done.load(std::memory_order_acquire) &&
-                ring.drain(batch.data(), batch.size()) == 0)
-                break;
-            if (++idle_polls >= options.spin) {
-                idle_polls = 0;
-                std::this_thread::yield();
+            if (!producers_done.load(std::memory_order_acquire)) {
+                if (++idle_polls >= options.spin) {
+                    idle_polls = 0;
+                    std::this_thread::yield();
+                }
+                continue;
             }
-            continue;
+            // The flag is set after the final push, so this drain sees
+            // every remaining request: admit them, or stop once empty.
+            n = ring.drain(batch.data(), batch.size());
+            if (n == 0)
+                break;
         }
         idle_polls = 0;
         for (std::size_t i = 0; i < n; ++i) {

@@ -138,8 +138,10 @@ CipKeepAlive::insertIdle(WorkerState &ws, const cluster::Container &container)
     // The entry remembers the scan seq current at insertion: a later
     // larger seq on this (worker, function) cell means a reclaim scan
     // saw the container while idle and re-wrote its priority.
-    const IdleEntry entry{container.clock, container.seq, container.id,
-                          ws.scan_seq[f]};
+    const IdleEntry entry{.clock = container.clock,
+                          .seq = container.seq,
+                          .id = container.id,
+                          .scan_mark = ws.scan_seq[f]};
     bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), entry),
                   entry);
 }
@@ -152,7 +154,8 @@ CipKeepAlive::removeIdle(WorkerState &ws, const cluster::Container &container,
     if (f >= ws.buckets.size())
         return false;
     std::vector<IdleEntry> &bucket = ws.buckets[f];
-    const IdleEntry key{container.clock, container.seq, container.id, 0};
+    const IdleEntry key{
+        .clock = container.clock, .seq = container.seq, .id = container.id};
     const auto it = std::lower_bound(bucket.begin(), bucket.end(), key);
     if (it == bucket.end() || it->seq != container.seq ||
         it->clock != container.clock) {

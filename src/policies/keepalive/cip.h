@@ -43,6 +43,7 @@
 #ifndef CIDRE_POLICIES_KEEPALIVE_CIP_H
 #define CIDRE_POLICIES_KEEPALIVE_CIP_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -55,6 +56,35 @@ namespace cidre::policies {
 class CipKeepAlive : public RankedKeepAlive
 {
   public:
+    /**
+     * One idle container in its function's clock-ordered bucket.  The
+     * buckets are checkpointed raw (StateWriter::putVector), so every
+     * byte is a member: `pad` fills the alignment gap after `id` and is
+     * always zero, keeping checkpoint bytes a function of logical state.
+     */
+    struct IdleEntry
+    {
+        double clock = 0.0;
+        std::uint64_t seq = 0; //!< Container::seq (stable across slot reuse)
+        cluster::ContainerId id = 0;
+        std::uint32_t pad = 0;
+        /** Scan seq of the (worker, function) cell at insertion time. */
+        std::uint64_t scan_mark = 0;
+
+        /** Bucket order (clock, seq): the within-function priority order,
+         *  since all containers of one function share the bonus term. */
+        bool operator<(const IdleEntry &o) const
+        {
+            if (clock != o.clock)
+                return clock < o.clock;
+            return seq < o.seq;
+        }
+    };
+    static_assert(sizeof(IdleEntry) == 32 &&
+                      offsetof(IdleEntry, pad) == 20 &&
+                      offsetof(IdleEntry, scan_mark) == 24,
+                  "IdleEntry must have no implicit padding");
+
     /**
      * @param bonus_weight multiplier on the Eq. 3 bonus term
      *        Freq·Cost/(Size·|F(c)|) — a tuning knob (cidre_sim tune
@@ -98,25 +128,6 @@ class CipKeepAlive : public RankedKeepAlive
                  cluster::Container &container) override;
 
   private:
-    /** One idle container in its function's clock-ordered bucket. */
-    struct IdleEntry
-    {
-        double clock;
-        std::uint64_t seq; //!< Container::seq (stable across slot reuse)
-        cluster::ContainerId id;
-        /** Scan seq of the (worker, function) cell at insertion time. */
-        std::uint64_t scan_mark;
-
-        /** Bucket order (clock, seq): the within-function priority order,
-         *  since all containers of one function share the bonus term. */
-        bool operator<(const IdleEntry &o) const
-        {
-            if (clock != o.clock)
-                return clock < o.clock;
-            return seq < o.seq;
-        }
-    };
-
     /** A bucket head inside the k-way selection heap. */
     struct Head
     {

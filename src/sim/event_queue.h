@@ -428,8 +428,8 @@ class EventQueue
      * Unlike now(), never fast-forwarded by runUntil(): a stepped
      * driver whose final deadline overshoots the last event still reads
      * the same value here as a drain-in-one-go run — which is what
-     * makes epoch-stepped execution result-identical to run-to-
-     * completion for time-integral metrics (makespan, memory).
+     * makes stepped execution result-identical to run-to-completion
+     * for time-integral metrics (makespan, memory).
      */
     SimTime lastEventTime() const { return last_event_; }
 

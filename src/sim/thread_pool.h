@@ -12,8 +12,8 @@
  *
  *  - **Threads are hoisted.**  Workers are spawned once and reused
  *    across parallelFor() calls, so a sweep that dispatches thousands
- *    of trials (or a sharded trial stepped in epochs) does not pay a
- *    spawn/join round trip per call.
+ *    of trials (or a sharded trial stepped between checkpoints) does
+ *    not pay a spawn/join round trip per call.
  *  - **The caller participates.**  parallelFor() claims indices on the
  *    calling thread too, so a pool constructed with N threads applies
  *    exactly N threads of compute, and a pool is usable (serially) even
@@ -26,16 +26,18 @@
  *
  * ## Wake-up latency (spin-then-park)
  *
- * An epoch-stepped sharded trial dispatches thousands of short loops,
- * and a helper that parked on the condvar between epochs pays a futex
- * wake plus scheduler latency before it can claim its first index —
- * easily longer than the epoch itself.  Helpers therefore spin on the
- * (atomic) generation counter for a bounded number of iterations after
- * finishing a loop before parking, and the caller's completion wait
- * spins the same way before blocking.  The budget is a constructor
- * knob (ThreadPoolOptions::spin_iterations): 0 restores the pure
- * condvar behaviour, the default covers inter-epoch gaps of a few
- * microseconds.  Spinning only ever costs the idle helper's own CPU
+ * The loops that dispatch back to back are ShardedEngine::stepUntil()
+ * and finish() on a pool: the checkpointed `run` driver steps a sharded
+ * trial once per checkpoint boundary, and `tune` forks step
+ * every trial to its fork point.  A helper that parked on the condvar
+ * pays a futex wake plus scheduler latency before it can claim its
+ * first index, so helpers spin on the (atomic) generation counter for a
+ * bounded number of iterations after finishing a loop before parking,
+ * and the caller's completion wait spins the same way before blocking.
+ * The benefit for those consumers has not been measured.  The budget is
+ * a constructor knob (ThreadPoolOptions::spin_iterations): 0 restores
+ * the pure condvar behaviour, the default covers inter-loop gaps of a
+ * few microseconds.  Spinning only ever costs the idle helper's own CPU
  * time; correctness is untouched (the park path re-checks the
  * predicate under the mutex that publishes it).
  */
@@ -119,14 +121,6 @@ class ThreadPool
     {
         return pinned_helpers_.load(std::memory_order_relaxed);
     }
-
-    /**
-     * True while a parallelFor is active on this pool.  A caller about
-     * to dispatch a loop whose bodies *synchronize with each other*
-     * (resident teams) must check this: a nested dispatch runs
-     * serially, which deadlocks inter-body barriers.
-     */
-    bool busy() const { return in_loop_.load(std::memory_order_acquire); }
 
     /**
      * Run body(0) ... body(count-1), returning when all ran.  The

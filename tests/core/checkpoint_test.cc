@@ -4,13 +4,16 @@
  * mirroring the `.ctrb` suite: magic, version, truncation both ways,
  * checksum, fingerprint) and for resume bit-identity: an engine
  * restored from a mid-run checkpoint must finish with metrics exactly
- * equal to the uninterrupted run — single-shard and sharded.
+ * equal to the uninterrupted run — single-shard and sharded.  Also:
+ * records copied raw into a checkpoint carry no uninitialised bytes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <new>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "core/checkpoint.h"
 #include "core/engine.h"
 #include "core/sharded_engine.h"
+#include "policies/keepalive/cip.h"
 #include "policies/registry.h"
 #include "sim/serialize.h"
 #include "trace/generators.h"
@@ -418,6 +422,61 @@ TEST(CheckpointResume, LoadRejectsAForeignEngineShape)
                   policies::makePolicy("ttl", config));
     sim::StateReader reader(state);
     EXPECT_THROW(target.loadState(reader), std::runtime_error);
+}
+
+
+// ---- byte determinism of raw-copied records ---------------------------
+
+/**
+ * putVector three @p T records, each built by @p build over storage
+ * pre-filled with 0xAB, and expect bytes [gap_first, gap_last) of every
+ * record to come out zero: what the allocator handed back must not leak
+ * into a checkpoint.
+ */
+template <typename T, typename Build>
+void
+expectGapSerializesAsZero(std::size_t gap_first, std::size_t gap_last,
+                          Build build)
+{
+    ASSERT_LT(gap_first, gap_last);
+    std::vector<T> values(3);
+    std::memset(static_cast<void *>(values.data()), 0xAB,
+                values.size() * sizeof(T));
+    for (std::size_t i = 0; i < values.size(); ++i)
+        build(&values[i], i);
+    sim::StateWriter writer;
+    writer.putVector(values);
+    const std::size_t prefix = sizeof(std::uint64_t);
+    ASSERT_EQ(writer.bytes().size(), prefix + values.size() * sizeof(T));
+    for (std::size_t r = 0; r < values.size(); ++r)
+        for (std::size_t b = gap_first; b < gap_last; ++b)
+            EXPECT_EQ(writer.bytes()[prefix + r * sizeof(T) + b],
+                      std::byte{0})
+                << "record " << r << ", byte " << b;
+}
+
+TEST(CheckpointBytes, CipIdleEntryAlignmentGapSerializesAsZero)
+{
+    using Entry = policies::CipKeepAlive::IdleEntry;
+    expectGapSerializesAsZero<Entry>(
+        offsetof(Entry, id) + sizeof(cluster::ContainerId),
+        offsetof(Entry, scan_mark), [](Entry *slot, std::size_t i) {
+            new (slot) Entry{.clock = 1.5 * static_cast<double>(i),
+                             .seq = i,
+                             .id = static_cast<cluster::ContainerId>(i),
+                             .scan_mark = 7};
+        });
+}
+
+TEST(CheckpointBytes, RequestOutcomeAlignmentGapSerializesAsZero)
+{
+    expectGapSerializesAsZero<RequestOutcome>(
+        sizeof(StartType), offsetof(RequestOutcome, wait_us),
+        [](RequestOutcome *slot, std::size_t i) {
+            new (slot) RequestOutcome;
+            slot->type = StartType::Cold;
+            slot->wait_us = static_cast<sim::SimTime>(i);
+        });
 }
 
 } // namespace

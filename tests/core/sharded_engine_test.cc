@@ -408,60 +408,6 @@ TEST(ShardedEngine, PinningIsResultsNeutral)
     EXPECT_EQ(unpinned, runWith(pins, 4));
 }
 
-TEST(ShardedEngine, EpochModeIsBitIdenticalToOneShot)
-{
-    // Lockstep-epoch execution (resident team, adaptive epoch length)
-    // against the one-shot run: same bytes out for every epoch target
-    // and team width.  This is the result-neutrality half of the
-    // barrier-overhead work; the makespan and the memory integral are
-    // covered too because finalize() keys on the last *executed* event,
-    // never on an overshooting epoch boundary.
-    const trace::Trace workload = testTrace();
-    auto config = testConfig(4);
-    config.record_per_request = true;
-
-    core::ShardedEngine oneshot(workload, config, factoryFor("cidre"));
-    const std::string expected = metricsFingerprint(oneshot.run());
-
-    for (const std::uint64_t target : {500ull, 20000ull, 1ull << 20}) {
-        for (const unsigned threads : {2u, 4u}) {
-            sim::ThreadPool pool(threads);
-            core::ShardExecOptions exec;
-            exec.epoch_events = target;
-            core::ShardedEngine stepped(workload, config,
-                                        factoryFor("cidre"));
-            EXPECT_EQ(metricsFingerprint(stepped.run(&pool, exec)),
-                      expected)
-                << "epoch target " << target << ", " << threads
-                << " threads";
-            EXPECT_EQ(stepped.eventsExecuted(), oneshot.eventsExecuted());
-        }
-    }
-}
-
-TEST(ShardedEngine, EpochModeOnBusyPoolFallsBackInsteadOfDeadlocking)
-{
-    // A resident team's bodies block on a barrier, so dispatching one
-    // onto a pool already inside a parallelFor (which runs nested loops
-    // serially) would deadlock at the first crossing.  run() probes
-    // busy() and falls back to the bit-identical one-shot path.
-    const trace::Trace workload = testTrace(0.02);
-    const auto config = testConfig(2);
-
-    core::ShardedEngine reference(workload, config, factoryFor("ttl"));
-    const std::string expected = metricsFingerprint(reference.run());
-
-    sim::ThreadPool pool(2);
-    std::string nested;
-    pool.parallelFor(1, [&](std::size_t) {
-        core::ShardExecOptions exec;
-        exec.epoch_events = 1000;
-        core::ShardedEngine engine(workload, config, factoryFor("ttl"));
-        nested = metricsFingerprint(engine.run(&pool, exec));
-    });
-    EXPECT_EQ(nested, expected);
-}
-
 // ---- auto cell planning -----------------------------------------------
 
 TEST(AutoCellCount, ClampsToWorkersFunctionsAndRequestFloor)
