@@ -45,7 +45,7 @@ struct CheckpointHeader
 static_assert(sizeof(CheckpointHeader) == 40,
               "on-disk checkpoint header layout must not change silently");
 
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -129,7 +129,7 @@ FunctionState::noteArrival(sim::SimTime now)
     if (first_request_at_ < 0)
         first_request_at_ = now;
     ++priority_epoch_; // n_F of Eq. 4 changed
-    arrival_window_.add(now, static_cast<double>(now));
+    arrival_window_.add(now);
 }
 
 double

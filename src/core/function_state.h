@@ -18,6 +18,7 @@
 #include "cluster/container.h"
 #include "sim/time.h"
 #include "stats/sliding_window.h"
+#include "stats/timestamp_window.h"
 #include "trace/function_profile.h"
 
 namespace cidre::sim {
@@ -111,9 +112,12 @@ class FunctionState
      */
     double freqPerMinute(sim::SimTime now) const;
 
-    /** Arrival timestamps within the recent window (rate estimators). */
-    stats::SlidingWindow &arrivalWindow() { return arrival_window_; }
-    const stats::SlidingWindow &arrivalWindow() const
+    /**
+     * Arrival timestamps within the recent window, for the rate
+     * estimators of FLAME and ENSURE: a timestamp-only ring under the
+     * same horizon and cap as the CSS windows, fed by noteArrival().
+     */
+    const stats::TimestampWindow &arrivalWindow() const
     {
         return arrival_window_;
     }
@@ -196,7 +200,7 @@ class FunctionState
 
     stats::SlidingWindow exec_window_;
     stats::SlidingWindow cold_window_;
-    stats::SlidingWindow arrival_window_;
+    stats::TimestampWindow arrival_window_;
 
     mutable EstimateCache te_cache_;
     mutable EstimateCache tp_cache_;

@@ -26,7 +26,7 @@ SlidingWindow::growRing()
         grown[i] = at(i);
     ring_ = std::move(grown);
     head_ = 0;
-    sorted_.reserve(want);
+    sorted_.reserve(want); // so building the companion never allocates
 }
 
 void
@@ -35,10 +35,12 @@ SlidingWindow::dropFront()
     assert(size_ > 0);
     const Entry &front = ring_[head_];
     sum_ -= front.value;
-    const auto it =
-        std::lower_bound(sorted_.begin(), sorted_.end(), front.value);
-    assert(it != sorted_.end() && *it == front.value);
-    sorted_.erase(it);
+    if (!sorted_.empty()) {
+        const auto it =
+            std::lower_bound(sorted_.begin(), sorted_.end(), front.value);
+        assert(it != sorted_.end() && *it == front.value);
+        sorted_.erase(it);
+    }
     head_ = (head_ + 1) % ring_.size();
     --size_;
     if (size_ == 0) {
@@ -72,8 +74,10 @@ SlidingWindow::add(sim::SimTime now, double value)
     ring_[(head_ + size_) % ring_.size()] = {now, value};
     ++size_;
     sum_ += value;
-    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), value),
-                   value);
+    if (!sorted_.empty()) {
+        sorted_.insert(
+            std::upper_bound(sorted_.begin(), sorted_.end(), value), value);
+    }
     expireUnstamped(now);
     ++change_epoch_; // exactly one stamp per mutation
 }
@@ -92,6 +96,13 @@ SlidingWindow::percentile(double q) const
         throw std::logic_error("SlidingWindow::percentile on empty window");
     if (q < 0.0 || q > 1.0)
         throw std::invalid_argument("SlidingWindow::percentile: bad q");
+    if (sorted_.empty()) {
+        // First query since the window was created, restored or last
+        // emptied: build the companion from the ring.
+        for (std::size_t i = 0; i < size_; ++i)
+            sorted_.push_back(at(i).value);
+        std::sort(sorted_.begin(), sorted_.end());
+    }
     const auto rank = static_cast<std::size_t>(
         q * static_cast<double>(size_ - 1) + 0.5);
     return sorted_[rank];
@@ -111,22 +122,6 @@ SlidingWindow::latest() const
     if (size_ == 0)
         throw std::logic_error("SlidingWindow::latest on empty window");
     return at(size_ - 1).value;
-}
-
-sim::SimTime
-SlidingWindow::earliestTime() const
-{
-    if (size_ == 0)
-        throw std::logic_error("SlidingWindow::earliestTime: empty window");
-    return ring_[head_].when;
-}
-
-sim::SimTime
-SlidingWindow::latestTime() const
-{
-    if (size_ == 0)
-        throw std::logic_error("SlidingWindow::latestTime: empty window");
-    return at(size_ - 1).when;
 }
 
 void
@@ -155,13 +150,10 @@ SlidingWindow::loadState(sim::StateReader &reader)
         throw std::runtime_error("SlidingWindow: corrupt checkpoint");
     ring_.clear();
     ring_.resize(static_cast<std::size_t>(count));
+    for (Entry &entry : ring_)
+        entry = reader.get<Entry>();
     sorted_.clear();
     sorted_.reserve(ring_.size());
-    for (Entry &entry : ring_) {
-        entry = reader.get<Entry>();
-        sorted_.push_back(entry.value);
-    }
-    std::sort(sorted_.begin(), sorted_.end());
     head_ = 0;
     size_ = ring_.size();
 }

@@ -11,13 +11,22 @@
  * the number of retained samples (newest win); the cap is configurable
  * and the sensitivity bench (Fig. 18) raises it when comparing horizons.
  *
- * Statistics are O(1) per query: entries live in a ring buffer (time
- * order) with a sorted companion array (value order) maintained on every
- * add/expire, so percentile() indexes directly instead of re-collecting
- * and nth_element-ing, and mean() reads a running sum.  Both are *exact*
- * — the companion holds the same multiset a fresh sort would.  A change
- * epoch stamps every mutation (exactly once per add()/dropping expire())
- * so consumers can memoize derived estimates against it.
+ * Entries live in a ring buffer (time order) and mean() reads a running
+ * sum.  Order statistics come from a sorted companion array (value
+ * order) that exists only in windows somebody queries: it stays empty
+ * until the first percentile()/median() call, which fills it from the
+ * ring and sorts it; from then on every add/expire keeps it sorted, so
+ * later queries index it directly.  A window that empties, or is
+ * restored from a checkpoint, drops back to unbuilt.  Windows nobody
+ * queries (T_e/T_p under policies that never read them) therefore pay
+ * only a ring push and the sum.  Percentiles are *exact* either way:
+ * the companion holds the same multiset a fresh sort would.
+ *
+ * Because it may build the companion, percentile() is a mutating const
+ * method: a window must not be queried from two threads at once.
+ *
+ * A change epoch stamps every mutation (exactly once per add()/dropping
+ * expire()) so consumers can memoize derived estimates against it.
  */
 
 #ifndef CIDRE_STATS_SLIDING_WINDOW_H
@@ -59,7 +68,8 @@ class SlidingWindow
 
     /**
      * Value at quantile @p q over the retained samples.
-     * Requires a non-empty window.
+     * Requires a non-empty window.  The first call on a window builds
+     * its sorted companion (O(w log w)); later calls are O(1).
      */
     double percentile(double q) const;
 
@@ -68,14 +78,6 @@ class SlidingWindow
 
     /** Most recently added value; requires a non-empty window. */
     double latest() const;
-
-    /** Timestamp of the oldest retained sample (non-empty windows). */
-    sim::SimTime earliestTime() const;
-
-    /** Timestamp of the newest retained sample (non-empty windows). */
-    sim::SimTime latestTime() const;
-
-    sim::SimTime horizon() const { return horizon_; }
 
     /**
      * Mutation counter: bumped exactly once per add() and once per
@@ -106,7 +108,7 @@ class SlidingWindow
         return ring_[(head_ + i) % ring_.size()];
     }
 
-    /** Drop the oldest entry (ring + sorted companion + sum). */
+    /** Drop the oldest entry (ring + sum + companion, if built). */
     void dropFront();
 
     /** Expire without stamping; @return true if anything was dropped. */
@@ -120,7 +122,8 @@ class SlidingWindow
     std::vector<Entry> ring_; //!< time-ordered, ring_[head_] oldest
     std::size_t head_ = 0;
     std::size_t size_ = 0;
-    std::vector<double> sorted_; //!< ascending companion of the ring
+    /** Ascending companion of the ring, or empty while unbuilt. */
+    mutable std::vector<double> sorted_;
     double sum_ = 0.0;           //!< running sum (reset when emptied)
     std::uint64_t change_epoch_ = 0;
 };

@@ -52,8 +52,8 @@ const char *const kShardedGoldenPath =
 
 /** Same pairs as the plain golden (see golden_headline_test.cc). */
 const std::vector<std::string> kPolicyPairs = {
-    "cidre",     "cidre-bss", "css-alone", "bss-alone",
-    "cip-alone", "faascache", "ttl",
+    "cidre",     "cidre-bss", "css-alone", "bss-alone", "cip-alone",
+    "faascache", "ttl",       "flame",     "ensure",
 };
 
 /** Same fixed workload as the plain golden. */

@@ -44,13 +44,14 @@ const char *const kGoldenPath =
     CIDRE_GOLDEN_DIR "/golden_headline.json";
 
 /**
- * The scaling×keep-alive pairs under pin (registry spellings):
- *   CSS+CIP, BSS+CIP, CSS+GDSF, BSS+GDSF, vanilla+CIP, vanilla+GDSF,
- *   vanilla+TTL.
+ * The policies under pin (registry spellings): the scaling×keep-alive
+ * pairs CSS+CIP, BSS+CIP, CSS+GDSF, BSS+GDSF, vanilla+CIP, vanilla+GDSF
+ * and vanilla+TTL, plus FLAME and ENSURE, the only readers of the
+ * per-function arrival window.
  */
 const std::vector<std::string> kPolicyPairs = {
-    "cidre",     "cidre-bss", "css-alone", "bss-alone",
-    "cip-alone", "faascache", "ttl",
+    "cidre",     "cidre-bss", "css-alone", "bss-alone", "cip-alone",
+    "faascache", "ttl",       "flame",     "ensure",
 };
 
 /** Fixed workload: 200 functions, 8 minutes, seed 42, Azure-like. */

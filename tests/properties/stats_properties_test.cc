@@ -12,10 +12,12 @@
 #include <vector>
 
 #include "sim/rng.h"
+#include "sim/serialize.h"
 #include "stats/cdf.h"
 #include "stats/histogram.h"
 #include "stats/sliding_window.h"
 #include "stats/summary.h"
+#include "stats/timestamp_window.h"
 
 namespace cidre::stats {
 namespace {
@@ -73,42 +75,86 @@ TEST_P(SeededPropertyTest, HistogramFractionBelowMatches)
     }
 }
 
+/**
+ * Naive reference for both window types: a deque of (time, value) under
+ * the same cap (newest win) and horizon, queried by nth_element.
+ */
+struct ReferenceWindow
+{
+    sim::SimTime horizon;
+    std::size_t cap;
+    std::deque<std::pair<sim::SimTime, double>> entries;
+
+    void expire(sim::SimTime now)
+    {
+        while (!entries.empty() && entries.front().first < now - horizon)
+            entries.pop_front();
+    }
+
+    void add(sim::SimTime now, double value)
+    {
+        entries.emplace_back(now, value);
+        if (entries.size() > cap)
+            entries.pop_front();
+        expire(now);
+    }
+
+    double percentile(double q) const
+    {
+        std::vector<double> values;
+        for (const auto &[when, v] : entries)
+            values.push_back(v);
+        const auto rank = static_cast<std::size_t>(
+            q * static_cast<double>(values.size() - 1) + 0.5);
+        const auto nth = values.begin() + static_cast<std::ptrdiff_t>(rank);
+        std::nth_element(values.begin(), nth, values.end());
+        return *nth;
+    }
+};
+
+/** Churn a window through adds, cap drops and horizon expiries. */
+void
+churn(sim::Rng &gen, SlidingWindow &window, ReferenceWindow &reference,
+      sim::SimTime &now, int steps)
+{
+    for (int i = 0; i < steps; ++i) {
+        // 1-in-10 steps jump past most of the horizon.
+        now += static_cast<sim::SimTime>(
+            gen.chance(0.1) ? gen.below(reference.horizon)
+                            : gen.below(sim::msec(200)));
+        if (gen.chance(0.2)) {
+            window.expire(now);
+            reference.expire(now);
+        } else {
+            // Few distinct values, so duplicates exercise tie handling.
+            const double value = std::floor(gen.uniform(0.0, 50.0));
+            window.add(now, value);
+            reference.add(now, value);
+        }
+        ASSERT_EQ(window.count(), reference.entries.size());
+    }
+}
+
 TEST_P(SeededPropertyTest, SlidingWindowMatchesReference)
 {
     sim::Rng gen = rng();
-    const sim::SimTime horizon = sim::sec(30);
     const std::size_t cap = 64;
-    SlidingWindow window(horizon, cap);
-    std::deque<std::pair<sim::SimTime, double>> reference;
+    SlidingWindow window(sim::sec(30), cap);
+    ReferenceWindow reference{sim::sec(30), cap, {}};
 
     sim::SimTime now = 0;
     for (int i = 0; i < 2000; ++i) {
         now += static_cast<sim::SimTime>(gen.below(sim::sec(2)));
         const double value = gen.uniform(0.0, 1000.0);
         window.add(now, value);
-        reference.emplace_back(now, value);
-        if (reference.size() > cap)
-            reference.pop_front();
-        while (!reference.empty() &&
-               reference.front().first < now - horizon) {
-            reference.pop_front();
-        }
+        reference.add(now, value);
 
-        ASSERT_EQ(window.count(), reference.size());
-        if (reference.empty())
+        ASSERT_EQ(window.count(), reference.entries.size());
+        if (reference.entries.empty())
             continue;
         if (i % 37 == 0) {
-            std::vector<double> values;
-            for (const auto &[when, v] : reference)
-                values.push_back(v);
             const double q = gen.uniform();
-            const auto rank = static_cast<std::size_t>(
-                q * static_cast<double>(values.size() - 1) + 0.5);
-            std::nth_element(values.begin(),
-                             values.begin() +
-                                 static_cast<std::ptrdiff_t>(rank),
-                             values.end());
-            EXPECT_DOUBLE_EQ(window.percentile(q), values[rank]);
+            EXPECT_DOUBLE_EQ(window.percentile(q), reference.percentile(q));
         }
     }
 }
@@ -120,17 +166,9 @@ TEST_P(SeededPropertyTest, SlidingWindowExpireHeavyMatchesReference)
     // long idle gaps, and also checks mean() and the change-epoch
     // contract: the epoch moves iff the observable contents changed.
     sim::Rng gen = rng();
-    const sim::SimTime horizon = sim::sec(10);
     const std::size_t cap = 32;
-    SlidingWindow window(horizon, cap);
-    std::deque<std::pair<sim::SimTime, double>> reference;
-
-    const auto drop_expired = [&](sim::SimTime now) {
-        while (!reference.empty() &&
-               reference.front().first < now - horizon) {
-            reference.pop_front();
-        }
-    };
+    SlidingWindow window(sim::sec(10), cap);
+    ReferenceWindow reference{sim::sec(10), cap, {}};
 
     sim::SimTime now = 0;
     for (int i = 0; i < 3000; ++i) {
@@ -138,47 +176,142 @@ TEST_P(SeededPropertyTest, SlidingWindowExpireHeavyMatchesReference)
         now += static_cast<sim::SimTime>(
             gen.chance(0.125) ? gen.below(sim::sec(25))
                               : gen.below(sim::sec(1)));
+        const std::uint64_t before_epoch = window.changeEpoch();
         if (gen.chance(0.4)) {
-            const std::uint64_t before_epoch = window.changeEpoch();
             const std::size_t before_count = window.count();
             window.expire(now);
-            drop_expired(now);
-            ASSERT_EQ(window.count(), reference.size());
-            if (reference.size() == before_count)
+            reference.expire(now);
+            ASSERT_EQ(window.count(), reference.entries.size());
+            if (reference.entries.size() == before_count)
                 EXPECT_EQ(window.changeEpoch(), before_epoch);
             else
                 EXPECT_NE(window.changeEpoch(), before_epoch);
         } else {
-            const std::uint64_t before_epoch = window.changeEpoch();
             const double value = gen.uniform(0.0, 100.0);
             window.add(now, value);
-            reference.emplace_back(now, value);
-            if (reference.size() > cap)
-                reference.pop_front();
-            drop_expired(now);
-            ASSERT_EQ(window.count(), reference.size());
+            reference.add(now, value);
+            ASSERT_EQ(window.count(), reference.entries.size());
             EXPECT_NE(window.changeEpoch(), before_epoch);
         }
-        if (reference.empty())
+        if (reference.entries.empty())
             continue;
 
         double sum = 0.0;
-        for (const auto &[when, v] : reference)
+        for (const auto &[when, v] : reference.entries)
             sum += v;
-        const double mean = sum / static_cast<double>(reference.size());
+        const double mean =
+            sum / static_cast<double>(reference.entries.size());
         EXPECT_NEAR(window.mean(), mean, 1e-9);
-        EXPECT_EQ(window.earliestTime(), reference.front().first);
-        EXPECT_EQ(window.latestTime(), reference.back().first);
         if (i % 23 == 0) {
-            std::vector<double> values;
-            for (const auto &[when, v] : reference)
-                values.push_back(v);
-            std::sort(values.begin(), values.end());
             const double q = gen.uniform();
-            const auto rank = static_cast<std::size_t>(
-                q * static_cast<double>(values.size() - 1) + 0.5);
-            EXPECT_DOUBLE_EQ(window.percentile(q), values[rank]);
-            EXPECT_DOUBLE_EQ(window.median(), values[values.size() / 2]);
+            EXPECT_DOUBLE_EQ(window.percentile(q), reference.percentile(q));
+            EXPECT_DOUBLE_EQ(window.median(), reference.percentile(0.5));
+        }
+    }
+}
+
+TEST_P(SeededPropertyTest, SlidingWindowFirstQueryAfterChurnMatchesReference)
+{
+    // The sorted companion is built at a window's first percentile()
+    // call.  Query only after long unqueried stretches (many adds, cap
+    // drops and expiries, sometimes emptying the window), then keep
+    // going so the built companion is maintained incrementally, and
+    // check every answer and the change-epoch contract.
+    sim::Rng gen = rng();
+    const std::size_t cap = 48;
+    SlidingWindow window(sim::sec(5), cap);
+    ReferenceWindow reference{sim::sec(5), cap, {}};
+    sim::SimTime now = 0;
+    for (int round = 0; round < 40; ++round) {
+        churn(gen, window, reference, now,
+              static_cast<int>(gen.below(400)));
+        if (reference.entries.empty())
+            continue;
+        for (int k = 0; k < 5; ++k) {
+            const double q = k == 0 ? 0.5 : gen.uniform();
+            const std::uint64_t epoch = window.changeEpoch();
+            EXPECT_EQ(window.percentile(q), reference.percentile(q))
+                << "round " << round << " q=" << q;
+            EXPECT_EQ(window.changeEpoch(), epoch)
+                << "a query must not stamp the epoch";
+        }
+        EXPECT_EQ(window.median(), reference.percentile(0.5));
+    }
+}
+
+TEST_P(SeededPropertyTest, SlidingWindowUnqueriedCheckpointRoundTrip)
+{
+    // A window saved before any query restores with no companion, even
+    // onto a window whose own companion was built; its first query must
+    // still match the reference, as must later ones.
+    sim::Rng gen = rng();
+    const std::size_t cap = 64;
+    SlidingWindow window(sim::sec(20), cap);
+    ReferenceWindow reference{sim::sec(20), cap, {}};
+    sim::SimTime now = 0;
+    churn(gen, window, reference, now, 600);
+    if (reference.entries.empty()) {
+        window.add(now, 7.0);
+        reference.add(now, 7.0);
+    }
+
+    sim::StateWriter writer;
+    window.saveState(writer);
+    const std::vector<std::byte> bytes = writer.release();
+    SlidingWindow restored;
+    restored.add(0, -1.0);
+    EXPECT_EQ(restored.median(), -1.0);
+    sim::StateReader reader(bytes);
+    restored.loadState(reader);
+    EXPECT_TRUE(reader.atEnd());
+
+    EXPECT_EQ(restored.count(), window.count());
+    EXPECT_EQ(restored.changeEpoch(), window.changeEpoch());
+    EXPECT_EQ(restored.mean(), window.mean());
+    EXPECT_EQ(restored.latest(), window.latest());
+    for (const double q : {0.0, 0.25, 0.5, 0.9, 1.0})
+        EXPECT_EQ(restored.percentile(q), reference.percentile(q));
+
+    churn(gen, restored, reference, now, 300);
+    if (!reference.entries.empty()) {
+        EXPECT_EQ(restored.percentile(0.5), reference.percentile(0.5));
+        EXPECT_EQ(restored.percentile(0.99), reference.percentile(0.99));
+    }
+}
+
+TEST_P(SeededPropertyTest, TimestampWindowMatchesReference)
+{
+    // The arrival window keeps only timestamps: count, earliest and
+    // latest must track the reference under the cap and the horizon,
+    // and survive a checkpoint round-trip taken at random points.
+    sim::Rng gen = rng();
+    const std::size_t cap = 40;
+    const sim::SimTime horizon = sim::sec(8);
+    TimestampWindow window(horizon, cap);
+    ReferenceWindow reference{horizon, cap, {}};
+    sim::SimTime now = 0;
+    for (int i = 0; i < 3000; ++i) {
+        now += static_cast<sim::SimTime>(
+            gen.chance(0.05) ? gen.below(sim::sec(12))
+                             : gen.below(sim::msec(150)));
+        window.add(now);
+        reference.add(now, 0.0);
+        ASSERT_EQ(window.count(), reference.entries.size());
+        EXPECT_EQ(window.earliestTime(), reference.entries.front().first);
+        EXPECT_EQ(window.latestTime(), reference.entries.back().first);
+
+        if (gen.chance(0.02)) {
+            sim::StateWriter writer;
+            window.saveState(writer);
+            const std::vector<std::byte> bytes = writer.release();
+            TimestampWindow restored(sim::sec(1), 1);
+            sim::StateReader reader(bytes);
+            restored.loadState(reader);
+            EXPECT_TRUE(reader.atEnd());
+            EXPECT_EQ(restored.count(), window.count());
+            EXPECT_EQ(restored.earliestTime(), window.earliestTime());
+            EXPECT_EQ(restored.latestTime(), window.latestTime());
+            window = restored; // carry on from the restored copy
         }
     }
 }

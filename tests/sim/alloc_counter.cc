@@ -33,6 +33,21 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms (std::get_temporary_buffer, behind stable_sort) must
+// come from the same malloc that the replaced operator delete frees.
+void *
+operator new(std::size_t size, const std::nothrow_t &) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void *
+operator new[](std::size_t size, const std::nothrow_t &tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
 void
 operator delete(void *p) noexcept
 {

@@ -1,11 +1,13 @@
 /**
  * @file
- * Unit tests for the CSS sliding-window statistics.
+ * Unit tests for the CSS sliding-window statistics and the arrival
+ * timestamp window.
  */
 
 #include <gtest/gtest.h>
 
 #include "stats/sliding_window.h"
+#include "stats/timestamp_window.h"
 
 namespace cidre::stats {
 namespace {
@@ -74,14 +76,12 @@ TEST(SlidingWindow, CachedQueryInvalidatedByAdd)
     EXPECT_DOUBLE_EQ(w.median(), 50.0);
 }
 
-TEST(SlidingWindow, LatestAndTimes)
+TEST(SlidingWindow, Latest)
 {
     SlidingWindow w(minutes(15));
     w.add(sec(5), 1.0);
     w.add(sec(9), 2.0);
     EXPECT_DOUBLE_EQ(w.latest(), 2.0);
-    EXPECT_EQ(w.earliestTime(), sec(5));
-    EXPECT_EQ(w.latestTime(), sec(9));
 }
 
 TEST(SlidingWindow, ErrorsOnEmptyQueries)
@@ -89,13 +89,31 @@ TEST(SlidingWindow, ErrorsOnEmptyQueries)
     SlidingWindow w;
     EXPECT_THROW(w.percentile(0.5), std::logic_error);
     EXPECT_THROW(w.latest(), std::logic_error);
-    EXPECT_THROW(w.earliestTime(), std::logic_error);
     EXPECT_DOUBLE_EQ(w.mean(), 0.0);
 }
 
 TEST(SlidingWindow, RejectsZeroCap)
 {
     EXPECT_THROW(SlidingWindow(minutes(1), 0), std::invalid_argument);
+}
+
+TEST(TimestampWindow, EarliestLatestAndExpiry)
+{
+    TimestampWindow w(minutes(1), 3);
+    EXPECT_THROW(w.earliestTime(), std::logic_error);
+    EXPECT_THROW(w.latestTime(), std::logic_error);
+    w.add(sec(5));
+    w.add(sec(9));
+    EXPECT_EQ(w.count(), 2u);
+    EXPECT_EQ(w.earliestTime(), sec(5));
+    EXPECT_EQ(w.latestTime(), sec(9));
+    w.add(sec(10));
+    w.add(sec(11)); // cap 3: sec(5) drops
+    EXPECT_EQ(w.earliestTime(), sec(9));
+    w.add(sec(70)); // horizon: only sec(10) and later survive
+    EXPECT_EQ(w.count(), 3u);
+    EXPECT_EQ(w.earliestTime(), sec(10));
+    EXPECT_THROW(TimestampWindow(minutes(1), 0), std::invalid_argument);
 }
 
 } // namespace

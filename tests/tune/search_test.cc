@@ -38,7 +38,7 @@ syntheticObservations(const ParameterSpace &space,
         observations[i].id = space.pointId(batch[i]);
         // Any smooth deterministic function of the point works.
         const double x = static_cast<double>(batch[i][0] + 1);
-        const double y = static_cast<double>(batch[i][1] + 1);
+        const double y = static_cast<double>(batch[i].back() + 1);
         observations[i].objectives = {x * 3.0 + y, 100.0 / (x + y)};
     }
     return observations;
