@@ -66,10 +66,11 @@ consume(core::Engine &engine, live::IngestRing &ring, Producer &producer,
         done.store(true, std::memory_order_release);
     });
     LiveRun run;
-    run.stats = live::runLive(engine, ring, done, options);
+    run.stats = live::consumeStream(live::SingleCellDriver{engine}, ring,
+                                    done, options);
     closer.join();
     run.backpressure = producer_stats.backpressure.load();
-    (void)engine.finish(); // runLive already closed the stream
+    (void)engine.finish(); // consumeStream already closed the stream
     return run;
 }
 
@@ -132,7 +133,7 @@ main(int argc, char **argv)
         live::ProducerStats producer_stats;
         live::SyntheticOptions synth;
         synth.producers = producers;
-        synth.requests_per_producer = synth_total / producers;
+        synth.total_requests = synth_total;
         synth.inter_arrival_us = 1;
         synth.exec_us = sim::msec(1);
         synth.function_count =

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -17,7 +17,6 @@
 #include "analysis/opportunity.h"
 #include "analysis/tradeoff.h"
 #include "core/checkpoint.h"
-#include "core/engine.h"
 #include "core/metrics_io.h"
 #include "core/sharded_engine.h"
 #include "exp/runner.h"
@@ -46,6 +45,13 @@ namespace cidre::cli {
 
 namespace {
 
+/** Cap of every thread-count option (--jobs, --shards, --producers). */
+constexpr std::uint64_t kMaxThreads = 1024;
+/** Cap of --ring-capacity: 16M slots, 256x the default. */
+constexpr std::uint64_t kMaxRingCapacity = std::uint64_t{1} << 24;
+constexpr std::uint64_t kMaxU32 = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxI64 = std::numeric_limits<std::int64_t>::max();
+
 /** Shared workload options: either --trace <file> or --kind azure|fc. */
 const std::vector<OptionSpec> kWorkloadSpecs = {
     {"trace", "file", "load a trace (CSV or .ctrb image, by content)", ""},
@@ -56,11 +62,12 @@ const std::vector<OptionSpec> kWorkloadSpecs = {
     {"exec-scale", "f", "scale execution times by f", "1.0"},
 };
 
+/** Append a shared option group to a command's spec list. */
 void
-appendWorkloadSpecs(std::vector<OptionSpec> &specs)
+appendSpecs(std::vector<OptionSpec> &specs,
+            const std::vector<OptionSpec> &group)
 {
-    specs.insert(specs.end(), kWorkloadSpecs.begin(),
-                 kWorkloadSpecs.end());
+    specs.insert(specs.end(), group.begin(), group.end());
 }
 
 std::uint64_t
@@ -132,7 +139,7 @@ loadWorkload(const Options &options,
     return loadWorkloadWithSeed(options, baseSeed(options), mode);
 }
 
-/** Sweep knobs shared by `run --trials` and `compare`. */
+/** Sweep knobs of `run --trials` and `compare` (`tune`: all but trials). */
 const std::vector<OptionSpec> kSweepSpecs = {
     {"trials", "n", "independent trials (seed substreams)", "1"},
     {"jobs", "n", "total worker threads (0 = all cores)", "0"},
@@ -143,18 +150,14 @@ const std::vector<OptionSpec> kSweepSpecs = {
     {"progress", "", "per-trial telemetry on stderr", ""},
 };
 
-void
-appendSweepSpecs(std::vector<OptionSpec> &specs)
-{
-    specs.insert(specs.end(), kSweepSpecs.begin(), kSweepSpecs.end());
-}
-
 exp::RunnerOptions
 runnerOptions(const Options &options, std::ostream &err)
 {
     exp::RunnerOptions runner;
-    runner.jobs = static_cast<unsigned>(options.getInt("jobs", 0));
-    runner.shards = static_cast<unsigned>(options.getInt("shards", 1));
+    runner.jobs =
+        static_cast<unsigned>(options.getCount("jobs", 0, 0, kMaxThreads));
+    runner.shards = static_cast<unsigned>(
+        options.getCount("shards", 1, 0, kMaxThreads));
     runner.progress = options.getFlag("progress") ? &err : nullptr;
     runner.pin = sim::parsePinMode(options.getString("pin", "auto"));
     return runner;
@@ -171,11 +174,11 @@ runnerOptions(const Options &options, std::ostream &err)
  */
 std::vector<Workload>
 loadTrialWorkloads(const Options &options, std::uint64_t trials,
-                   unsigned jobs)
+                   unsigned jobs, trace::TraceOpenMode mode)
 {
     if (options.has("trace") || trials <= 1) {
         std::vector<Workload> workloads;
-        workloads.push_back(loadWorkload(options));
+        workloads.push_back(loadWorkload(options, mode));
         return workloads;
     }
     std::vector<Workload> workloads(trials);
@@ -192,11 +195,11 @@ engineConfig(const Options &options)
 {
     core::EngineConfig config;
     config.cluster.workers = static_cast<std::uint32_t>(
-        options.getInt("workers", 3));
+        options.getCount("workers", 3, 1, kMaxU32));
     config.cluster.total_memory_mb =
         options.getInt("cache-gb", 100) * 1024;
     config.container_threads = static_cast<std::uint32_t>(
-        options.getInt("threads", 1));
+        options.getCount("threads", 1, 1, kMaxU32));
     config.te_percentile = options.getDouble("te-percentile", 0.5);
     const std::int64_t window_min = options.getInt("window-min", 15);
     config.stats_window = window_min <= 0 ? sim::kTimeInfinity
@@ -207,7 +210,8 @@ engineConfig(const Options &options)
     // config carries the valid provisional value 1.
     config.shard_cells = options.getString("cells", "1") == "auto"
         ? 1
-        : static_cast<std::uint32_t>(options.getInt("cells", 1));
+        : static_cast<std::uint32_t>(
+              options.getCount("cells", 1, 1, kMaxU32));
     config.validate();
     return config;
 }
@@ -248,11 +252,95 @@ const std::vector<OptionSpec> kEngineSpecs = {
                         " workers and detected topology)", "1"},
 };
 
-void
-appendEngineSpecs(std::vector<OptionSpec> &specs)
+/**
+ * Everything a simulating command (run, live, compare, tune) sets up
+ * before its first engine: the engine config and runner knobs, the
+ * workload(s), `--cells auto` resolved against the first workload,
+ * and every image advised for the cell builders' gather when the run
+ * may partition.
+ */
+struct Session
 {
-    specs.insert(specs.end(), kEngineSpecs.begin(), kEngineSpecs.end());
+    core::EngineConfig config;
+    exp::RunnerOptions runner;
+    std::uint64_t base_seed = 42;
+    /** One shared workload, or one per trial (synthetic sweeps). */
+    std::vector<Workload> workloads;
+
+    /** The workload trial @p i replays. */
+    trace::TraceView view(std::uint64_t i = 0) const
+    {
+        return workloads[workloads.size() == 1 ? 0 : i].view();
+    }
+};
+
+/**
+ * Parse the engine and runner options, then load @p trials workloads
+ * (see loadTrialWorkloads) in @p mode.  @p cells_vary marks a run
+ * whose trials may pick their own cell count (tune's `cells` knob).
+ */
+Session
+openSession(const Options &options, std::ostream &err,
+            std::uint64_t trials = 1,
+            trace::TraceOpenMode mode = trace::TraceOpenMode::Resident,
+            bool cells_vary = false)
+{
+    Session session;
+    session.config = engineConfig(options);
+    session.runner = runnerOptions(options, err);
+    session.base_seed = baseSeed(options);
+    session.workloads =
+        loadTrialWorkloads(options, trials, session.runner.jobs, mode);
+    resolveAutoCells(options, session.view(), session.config,
+                     session.runner.shards, err);
+    if (session.config.shard_cells > 1 || cells_vary) {
+        for (const Workload &workload : session.workloads)
+            if (workload.image)
+                workload.image->adviseShardedGather();
+    }
+    return session;
 }
+
+/** Append the trials 0 .. @p trials-1 of @p policy over @p session. */
+void
+appendTrials(std::vector<exp::TrialSpec> &specs, const Session &session,
+             const std::string &policy, std::uint64_t trials)
+{
+    for (std::uint64_t i = 0; i < trials; ++i) {
+        exp::TrialSpec spec;
+        spec.label = policy + "/t" + std::to_string(i);
+        spec.workload = session.view(i);
+        spec.policy = policy;
+        spec.config = session.config;
+        spec.base_seed = session.base_seed;
+        spec.trial_index = i;
+        specs.push_back(std::move(spec));
+    }
+}
+
+/**
+ * The shard threads of a single-trial run: min(--shards, cells)
+ * threads pinned per --pin, or none (cells run inline) when that is 1.
+ */
+struct ShardTeam
+{
+    core::ShardExecOptions exec;
+    std::optional<sim::ThreadPool> pool;
+
+    explicit ShardTeam(const Session &session)
+    {
+        const unsigned threads = std::min(
+            std::max(1u, session.runner.shards), session.config.shard_cells);
+        if (threads <= 1)
+            return;
+        exec.pin_cpus = sim::resolvePinCpus(
+            session.runner.pin, sim::CpuTopology::detect(), threads);
+        pool.emplace(sim::ThreadPoolOptions{threads, sim::kDefaultPoolSpin,
+                                            exec.pin_cpus});
+    }
+
+    sim::ThreadPool *get() { return pool ? &*pool : nullptr; }
+};
 
 // ---- stepped replay (out-of-core streaming + checkpoint/restore) --------
 
@@ -319,25 +407,25 @@ struct SteppedOutcome
     core::RunMetrics metrics;
 };
 
-/** Engine-kind byte of the CLI checkpoint payload preamble. */
-constexpr std::uint8_t kCkptEngineSingle = 0;
-constexpr std::uint8_t kCkptEngineSharded = 1;
-
 /**
- * Run one trial through the stepped driver.  The loop steps the engine
- * to the next enabled boundary — window advice, periodic checkpoint,
- * or --stop-at-sec — in simulated-time order; boundaries are absolute
- * multiples of their cadence, so a resumed run visits exactly the
- * boundaries the uninterrupted run would have.
+ * Run the session's trial through the stepped driver.  The loop steps
+ * the engine to the next enabled boundary — window advice, periodic
+ * checkpoint, or --stop-at-sec — in simulated-time order; boundaries
+ * are absolute multiples of their cadence, so a resumed run visits
+ * exactly the boundaries the uninterrupted run would have.
+ *
+ * The `.ckpt` payload is [u64 driver time][ShardedEngine state]; the
+ * file header's fingerprint pins config (cells included), policy and
+ * workload shape.
  */
 SteppedOutcome
 runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
-                const core::EngineConfig &config, const Workload &workload,
-                const exp::RunnerOptions &runner_options, std::ostream &err)
+                const Session &session, std::ostream &err)
 {
+    const Workload &workload = session.workloads.front();
     const trace::TraceView view = workload.view();
     const std::uint64_t fingerprint =
-        core::checkpointFingerprint(config, policy, view);
+        core::checkpointFingerprint(session.config, policy, view);
 
     // The window advises along the mmapped image; an in-memory workload
     // (CSV or synthetic) has no pages to manage, so the knob is inert.
@@ -345,13 +433,6 @@ runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
     if (knobs.stream_window > 0 && workload.image)
         window.emplace(*workload.image, knobs.stream_window);
 
-    const bool sharded = config.shard_cells > 1;
-    const std::uint8_t kind =
-        sharded ? kCkptEngineSharded : kCkptEngineSingle;
-
-    // Restore preamble: driver simulated time, then the engine kind.
-    // The fingerprint already pins shard_cells; the kind byte keeps the
-    // payload self-describing.
     sim::SimTime start_time = 0;
     std::vector<std::byte> resume_payload;
     std::optional<sim::StateReader> reader;
@@ -361,62 +442,24 @@ runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
         reader.emplace(resume_payload);
         start_time =
             static_cast<sim::SimTime>(reader->get<std::uint64_t>());
-        if (reader->get<std::uint8_t>() != kind) {
-            throw std::runtime_error(
-                "run: checkpoint engine kind does not match this"
-                " configuration");
-        }
     }
     if (knobs.stop_at > 0 && knobs.stop_at <= start_time) {
         throw std::invalid_argument(
             "run: --stop-at-sec must lie past the resume point");
     }
 
-    std::optional<sim::ThreadPool> pool;
-    sim::ThreadPool *pool_ptr = nullptr;
-    const unsigned shards = std::max(1u, runner_options.shards);
-    if (sharded && shards > 1) {
-        pool.emplace(shards);
-        pool_ptr = &*pool;
-    }
-
-    // One loop drives both engine shapes through these callbacks.
-    std::optional<core::Engine> single;
-    std::optional<core::ShardedEngine> cells;
-    std::function<void(sim::SimTime)> step;
-    std::function<core::RunMetrics()> finish;
-    std::function<bool()> drained;
-    std::function<void(sim::StateWriter &)> save;
-    if (sharded) {
-        cells.emplace(view, config,
-                      [&policy](const core::EngineConfig &cell_config) {
-                          return policies::makePolicy(policy, cell_config);
-                      });
-        if (reader)
-            cells->loadState(*reader);
-        else
-            cells->begin();
-        step = [&](sim::SimTime t) { cells->stepUntil(t, pool_ptr); };
-        finish = [&]() { return cells->finish(pool_ptr); };
-        drained = [&]() { return cells->drained(); };
-        save = [&](sim::StateWriter &w) { cells->saveState(w); };
-    } else {
-        single.emplace(view, config, policies::makePolicy(policy, config));
-        if (reader)
-            single->loadState(*reader);
-        else
-            single->begin();
-        step = [&](sim::SimTime t) { single->stepUntil(t); };
-        finish = [&]() { return single->finish(); };
-        drained = [&]() { return single->drained(); };
-        save = [&](sim::StateWriter &w) { single->saveState(w); };
-    }
+    core::ShardedEngine engine(view, session.config,
+                               policies::makePolicyFactory(policy));
+    if (reader)
+        engine.loadState(*reader);
+    else
+        engine.begin();
+    ShardTeam team(session);
 
     const auto writeCkpt = [&](sim::SimTime now) {
         sim::StateWriter writer;
         writer.put<std::uint64_t>(static_cast<std::uint64_t>(now));
-        writer.put<std::uint8_t>(kind);
-        save(writer);
+        engine.saveState(writer);
         core::writeCheckpointFile(knobs.checkpoint_path, fingerprint,
                                   writer.release());
         err << "checkpoint @ " << sim::toSec(now) << " s -> "
@@ -443,7 +486,7 @@ runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
             target = std::min(target, knobs.stop_at);
         if (target == sim::kTimeInfinity)
             break; // no cadence left: drain in one shot below
-        step(target);
+        engine.stepUntil(target, team.get());
         if (window && target >= next_window) {
             window->advanceTo(target);
             next_window += knobs.stream_window;
@@ -459,11 +502,11 @@ runTrialInSteps(const SteppedKnobs &knobs, const std::string &policy,
             outcome.stop_time = target;
             return outcome;
         }
-        if (drained())
+        if (engine.drained())
             break;
     }
     SteppedOutcome outcome;
-    outcome.metrics = finish();
+    outcome.metrics = engine.finish(team.get());
     return outcome;
 }
 
@@ -539,7 +582,7 @@ generateSpecs()
         std::vector<OptionSpec> s = {
             {"out", "file", "output path, .csv or .ctrb (required)", ""},
         };
-        appendWorkloadSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
         return s;
     }();
     return specs;
@@ -633,9 +676,8 @@ runSynth(const Options &options, std::ostream &out, std::ostream &)
             "synth needs at least one input .ctrb image (use `convert`"
             " for CSV traces first)");
     }
-    const std::int64_t copies = options.getInt("copies", 1);
-    if (copies < 1)
-        throw std::invalid_argument("synth: --copies must be >= 1");
+    const auto copies = static_cast<std::int64_t>(
+        options.getCount("copies", 1, 1, kMaxI64));
     const std::int64_t gap_sec = options.getInt("gap-sec", 0);
     if (gap_sec < 0)
         throw std::invalid_argument("synth: --gap-sec must be >= 0");
@@ -774,9 +816,9 @@ simulateSpecs()
             {"max-rss-mb", "n", "exit 1 if host peak RSS exceeds n MB"
                                 " (0 = off)", "0"},
         };
-        appendWorkloadSpecs(s);
-        appendEngineSpecs(s);
-        appendSweepSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
+        appendSpecs(s, kEngineSpecs);
+        appendSpecs(s, kSweepSpecs);
         return s;
     }();
     return specs;
@@ -787,43 +829,41 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
 {
     const std::string policy = options.getString("policy", "cidre");
     const auto top = static_cast<std::size_t>(
-        options.getInt("top-functions", 0));
-    const auto trials =
-        static_cast<std::uint64_t>(options.getInt("trials", 1));
-    if (trials == 0)
-        throw std::invalid_argument("run: --trials must be >= 1");
-    core::EngineConfig config = engineConfig(options);
-    config.record_per_request = top > 0;
-    config.record_timeline = options.getFlag("timeline");
-    config.slo_us = sim::msec(options.getInt("slo-ms", 0));
-
-    // Validate sweep options up front so e.g. a malformed --jobs is
-    // rejected even on the single-trial path that never uses it.
-    const exp::RunnerOptions runner_options = runnerOptions(options, err);
+        options.getCount("top-functions", 0, 0, kMaxI64));
+    const std::uint64_t trials = options.getCount("trials", 1, 1, kMaxI64);
+    const bool timeline = options.getFlag("timeline");
+    const sim::SimTime slo_us = sim::msec(options.getInt("slo-ms", 0));
     const SteppedKnobs stepped = steppedKnobs(options);
+    if (stepped.enabled() && trials != 1) {
+        throw std::invalid_argument(
+            "run: --stream-window-sec/--checkpoint/--resume-from/"
+            "--stop-at-sec need --trials 1 (one engine, one cursor)");
+    }
+    if (trials > 1 && (top > 0 || timeline)) {
+        throw std::invalid_argument(
+            "run: --top-functions/--timeline need --trials 1 (the"
+            " per-request log and timeline are per-trial views)");
+    }
+
+    Session session = openSession(
+        options, err, trials,
+        stepped.stream_window > 0 ? trace::TraceOpenMode::Streaming
+                                  : trace::TraceOpenMode::Resident);
+    core::EngineConfig &config = session.config;
+    config.record_per_request = top > 0;
+    config.record_timeline = timeline;
+    config.slo_us = slo_us;
 
     core::RunMetrics metrics;
-    Workload single_workload;
     if (stepped.enabled()) {
-        if (trials != 1) {
-            throw std::invalid_argument(
-                "run: --stream-window-sec/--checkpoint/--resume-from/"
-                "--stop-at-sec need --trials 1 (one engine, one cursor)");
-        }
-        single_workload = loadWorkload(
-            options, stepped.stream_window > 0
-                         ? trace::TraceOpenMode::Streaming
-                         : trace::TraceOpenMode::Resident);
-        resolveAutoCells(options, single_workload.view(), config,
-                         runner_options.shards, err);
         if (stepped.stream_window > 0 && config.shard_cells > 1) {
             throw std::invalid_argument(
                 "run: --stream-window-sec needs --cells 1 (cell builders"
                 " gather the columns out of arrival order, so a windowed"
                 " cursor cannot bound their residency)");
         }
-        const SteppedOutcome outcome = runTrialInSteps(
-            stepped, policy, config, single_workload, runner_options, err);
+        const SteppedOutcome outcome =
+            runTrialInSteps(stepped, policy, session, err);
         if (outcome.stopped_early) {
             out << "stopped at " << sim::toSec(outcome.stop_time)
                 << " s (checkpoint " << stepped.checkpoint_path
@@ -832,64 +872,17 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
         }
         metrics = outcome.metrics;
     } else if (trials == 1) {
-        single_workload = loadWorkload(options);
-        resolveAutoCells(options, single_workload.view(), config,
-                         runner_options.shards, err);
-        if (config.shard_cells > 1) {
-            if (single_workload.image)
-                single_workload.image->adviseShardedGather();
-            core::ShardedEngine engine(
-                single_workload.view(), config,
-                [&policy](const core::EngineConfig &cell_config) {
-                    return policies::makePolicy(policy, cell_config);
-                });
-            const unsigned shards = std::max(1u, runner_options.shards);
-            if (shards > 1) {
-                core::ShardExecOptions exec;
-                exec.pin_cpus = sim::resolvePinCpus(
-                    runner_options.pin, sim::CpuTopology::detect(),
-                    shards);
-                sim::ThreadPool pool(sim::ThreadPoolOptions{
-                    shards, sim::kDefaultPoolSpin, exec.pin_cpus});
-                metrics = engine.run(&pool, exec);
-            } else {
-                metrics = engine.run();
-            }
-        } else {
-            core::Engine engine(single_workload.view(), config,
-                                policies::makePolicy(policy, config));
-            metrics = engine.run();
-        }
+        core::ShardedEngine engine(session.view(), config,
+                                   policies::makePolicyFactory(policy));
+        ShardTeam team(session);
+        metrics = engine.run(team.get(), team.exec);
     } else {
-        if (top > 0 || config.record_timeline) {
-            throw std::invalid_argument(
-                "run: --top-functions/--timeline need --trials 1 (the"
-                " per-request log and timeline are per-trial views)");
-        }
-        const std::vector<Workload> workloads =
-            loadTrialWorkloads(options, trials, runner_options.jobs);
-        resolveAutoCells(options, workloads[0].view(), config,
-                         runner_options.shards, err);
-        if (config.shard_cells > 1) {
-            for (const Workload &workload : workloads)
-                if (workload.image)
-                    workload.image->adviseShardedGather();
-        }
-        std::vector<exp::TrialSpec> specs(trials);
-        for (std::uint64_t i = 0; i < trials; ++i) {
-            exp::TrialSpec &spec = specs[i];
-            spec.label = policy + "/t" + std::to_string(i);
-            spec.workload =
-                workloads[workloads.size() == 1 ? 0 : i].view();
-            spec.policy = policy;
-            spec.config = config;
-            spec.base_seed = baseSeed(options);
-            spec.trial_index = i;
-        }
-        exp::ExperimentRunner runner(runner_options);
+        std::vector<exp::TrialSpec> specs;
+        appendTrials(specs, session, policy, trials);
+        exp::ExperimentRunner runner(session.runner);
         metrics = exp::mergedMetrics(runner.run(specs));
         out << "trials: " << trials << " (seed substreams of "
-            << baseSeed(options) << ")\n";
+            << session.base_seed << ")\n";
     }
     reportRun(out, policy, metrics);
     if (config.slo_us > 0) {
@@ -917,7 +910,7 @@ runSimulate(const Options &options, std::ostream &out, std::ostream &err)
         stats::Table table({"function", "requests", "cold", "delayed",
                             "total wait s", "avg wait ms"});
         for (const auto &fb : core::perFunctionBreakdown(
-                 single_workload.view(), metrics, top)) {
+                 session.view(), metrics, top)) {
             table.addRow({fb.name, std::to_string(fb.requests),
                           std::to_string(fb.cold),
                           std::to_string(fb.delayed),
@@ -966,8 +959,8 @@ liveSpecs()
             {"max-rss-mb", "n", "exit 1 if host peak RSS exceeds n MB"
                                 " (0 = off)", "0"},
         };
-        appendWorkloadSpecs(s);
-        appendEngineSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
+        appendSpecs(s, kEngineSpecs);
         return s;
     }();
     return specs;
@@ -977,30 +970,16 @@ int
 runLive(const Options &options, std::ostream &out, std::ostream &err)
 {
     const std::string policy = options.getString("policy", "cidre");
-    core::EngineConfig config = engineConfig(options);
-
     const double rate = options.getDouble("rate", 0.0);
     const std::int64_t duration_sec = options.getInt("duration-sec", 0);
     if (duration_sec < 0)
         throw std::invalid_argument("live: --duration-sec must be >= 0");
-    const std::int64_t ring_capacity =
-        options.getInt("ring-capacity", 65536);
-    if (ring_capacity < 2)
-        throw std::invalid_argument("live: --ring-capacity must be >= 2");
-    const std::int64_t batch = options.getInt("batch", 256);
-    if (batch < 1)
-        throw std::invalid_argument("live: --batch must be >= 1");
+    const std::uint64_t ring_capacity =
+        options.getCount("ring-capacity", 65536, 2, kMaxRingCapacity);
     live::OrchestratorOptions orch;
-    orch.batch = static_cast<std::size_t>(batch);
+    // A drain never returns more than the ring holds.
+    orch.batch = options.getCount("batch", 256, 1, ring_capacity);
     orch.pin_cpu = static_cast<int>(options.getInt("pin-cpu", -1));
-
-    const Workload workload = loadWorkload(options);
-    const trace::TraceView view = workload.view();
-    resolveAutoCells(options, view, config, 1, err);
-
-    live::IngestRing ring(static_cast<std::size_t>(ring_capacity));
-    live::ProducerStats producer_stats;
-    std::atomic<bool> done{false};
 
     // Ingest source: replay the loaded trace's arrival sequence
     // (optionally wall-clock paced) or run the synthetic open-loop
@@ -1011,84 +990,51 @@ runLive(const Options &options, std::ostream &out, std::ostream &err)
     if (duration_sec > 0)
         pacer_options.until_us = sim::sec(duration_sec);
     live::SyntheticOptions synth_options;
-    if (open_loop) {
-        const std::int64_t producers = options.getInt("producers", 1);
-        if (producers < 1)
-            throw std::invalid_argument("live: --producers must be >= 1");
-        const std::int64_t total =
-            options.getInt("open-loop-requests", 1'000'000);
-        if (total < 1) {
-            throw std::invalid_argument(
-                "live: --open-loop-requests must be >= 1");
-        }
-        const std::int64_t iat = options.getInt("open-loop-iat-us", 1);
-        if (iat < 1) {
-            throw std::invalid_argument(
-                "live: --open-loop-iat-us must be >= 1");
-        }
-        const std::int64_t exec_ms =
-            options.getInt("open-loop-exec-ms", 100);
-        if (exec_ms < 0) {
-            throw std::invalid_argument(
-                "live: --open-loop-exec-ms must be >= 0");
-        }
-        synth_options.producers = static_cast<unsigned>(producers);
-        synth_options.requests_per_producer = std::max<std::uint64_t>(
-            1, static_cast<std::uint64_t>(total) /
-                   static_cast<std::uint64_t>(producers));
-        synth_options.inter_arrival_us = iat;
-        synth_options.exec_us = sim::msec(exec_ms);
-        synth_options.function_count =
-            static_cast<std::uint32_t>(view.functionCount());
-        synth_options.seed = baseSeed(options);
-    }
+    synth_options.producers = static_cast<unsigned>(
+        options.getCount("producers", 1, 1, kMaxThreads));
+    synth_options.total_requests =
+        options.getCount("open-loop-requests", 1'000'000, 1, kMaxI64);
+    // Bounded so the last arrival slot, total x iat, stays in range.
+    synth_options.inter_arrival_us = static_cast<sim::SimTime>(
+        options.getCount("open-loop-iat-us", 1, 1,
+                         kMaxI64 / synth_options.total_requests));
+    synth_options.exec_us = sim::msec(static_cast<std::int64_t>(
+        options.getCount("open-loop-exec-ms", 100, 0, kMaxI64 / 1000)));
+    synth_options.seed = baseSeed(options);
+
+    const Session session = openSession(options, err);
+    const trace::TraceView view = session.view();
+    synth_options.function_count =
+        static_cast<std::uint32_t>(view.functionCount());
+    core::ShardedEngine engine(view, session.config,
+                               policies::makePolicyFactory(policy));
+    engine.beginLive();
 
     // The consumer (this thread) drains until the producers have joined;
     // a closer thread flips the done flag after the final push, and the
     // orchestrator admits whatever its drain after seeing the flag finds.
+    live::IngestRing ring(static_cast<std::size_t>(ring_capacity));
+    live::ProducerStats producer_stats;
+    std::atomic<bool> done{false};
     live::LiveStats live_stats;
-    const auto consume = [&](auto &engine) {
-        engine.beginLive();
-        if (open_loop) {
-            live::SyntheticProducers producers(ring, producer_stats,
-                                               synth_options);
-            producers.start();
-            std::thread closer([&] {
-                producers.join();
-                done.store(true, std::memory_order_release);
-            });
-            live_stats = live::runLive(engine, ring, done, orch);
-            closer.join();
-        } else {
-            live::TracePacer pacer(view, ring, producer_stats,
-                                   pacer_options);
-            pacer.start();
-            std::thread closer([&] {
-                pacer.join();
-                done.store(true, std::memory_order_release);
-            });
-            live_stats = live::runLive(engine, ring, done, orch);
-            closer.join();
-        }
+    const auto consume = [&](auto &&producer) {
+        producer.start();
+        std::thread closer([&] {
+            producer.join();
+            done.store(true, std::memory_order_release);
+        });
+        live_stats = live::consumeStream(live::ShardedDriver{engine}, ring,
+                                         done, orch);
+        closer.join();
     };
-
-    core::RunMetrics metrics;
-    if (config.shard_cells > 1) {
-        if (workload.image)
-            workload.image->adviseShardedGather();
-        core::ShardedEngine engine(
-            view, config,
-            [&policy](const core::EngineConfig &cell_config) {
-                return policies::makePolicy(policy, cell_config);
-            });
-        consume(engine);
-        metrics = engine.finish(nullptr);
+    if (open_loop) {
+        consume(live::SyntheticProducers(ring, producer_stats,
+                                         synth_options));
     } else {
-        core::Engine engine(view, config,
-                            policies::makePolicy(policy, config));
-        consume(engine);
-        metrics = engine.finish();
+        consume(live::TracePacer(view, ring, producer_stats,
+                                 pacer_options));
     }
+    const core::RunMetrics metrics = engine.finish(nullptr);
 
     const stats::LatencyHistogram &h = live_stats.decision_ns;
     out << "live: admitted " << live_stats.admitted << " requests in "
@@ -1118,9 +1064,9 @@ compareSpecs()
             {"policies", "a,b,...", "comma-separated policy names",
              "cidre,cidre-bss,faascache,ttl"},
         };
-        appendWorkloadSpecs(s);
-        appendEngineSpecs(s);
-        appendSweepSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
+        appendSpecs(s, kEngineSpecs);
+        appendSpecs(s, kSweepSpecs);
         return s;
     }();
     return specs;
@@ -1132,46 +1078,22 @@ runCompare(const Options &options, std::ostream &out, std::ostream &err)
     std::vector<std::string> names = options.getList("policies");
     if (names.empty())
         names = {"cidre", "cidre-bss", "faascache", "ttl"};
-    const auto trials =
-        static_cast<std::uint64_t>(options.getInt("trials", 1));
-    if (trials == 0)
-        throw std::invalid_argument("compare: --trials must be >= 1");
-    core::EngineConfig config = engineConfig(options);
+    const std::uint64_t trials = options.getCount("trials", 1, 1, kMaxI64);
 
     // Every policy × trial pair is one independent simulation; fan them
     // all across the worker pool and reduce per policy in trial order,
     // so the table is byte-identical for any --jobs value.
-    const exp::RunnerOptions runner_options = runnerOptions(options, err);
-    const std::vector<Workload> workloads =
-        loadTrialWorkloads(options, trials, runner_options.jobs);
-    resolveAutoCells(options, workloads[0].view(), config,
-                     runner_options.shards, err);
-    if (config.shard_cells > 1) {
-        for (const Workload &workload : workloads)
-            if (workload.image)
-                workload.image->adviseShardedGather();
-    }
+    const Session session = openSession(options, err, trials);
     std::vector<exp::TrialSpec> specs;
     specs.reserve(names.size() * trials);
-    for (const std::string &name : names) {
-        for (std::uint64_t i = 0; i < trials; ++i) {
-            exp::TrialSpec spec;
-            spec.label = name + "/t" + std::to_string(i);
-            spec.workload =
-                workloads[workloads.size() == 1 ? 0 : i].view();
-            spec.policy = name;
-            spec.config = config;
-            spec.base_seed = baseSeed(options);
-            spec.trial_index = i;
-            specs.push_back(std::move(spec));
-        }
-    }
-    exp::ExperimentRunner runner(runner_options);
+    for (const std::string &name : names)
+        appendTrials(specs, session, name, trials);
+    exp::ExperimentRunner runner(session.runner);
     const std::vector<exp::TrialResult> results = runner.run(specs);
 
     if (trials > 1) {
         out << "trials: " << trials << " per policy (seed substreams of "
-            << baseSeed(options) << ")\n";
+            << session.base_seed << ")\n";
     }
     stats::Table table({"policy", "overhead %", "cold %", "delayed %",
                         "warm %", "E2E p50 ms", "created"});
@@ -1195,7 +1117,7 @@ analyzeSpecs()
 {
     static const std::vector<OptionSpec> specs = [] {
         std::vector<OptionSpec> s;
-        appendWorkloadSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
         return s;
     }();
     return specs;
@@ -1273,19 +1195,13 @@ tuneSpecs()
              "p99-ms,gbs"},
             {"json", "file", "also write the tune JSON to this file", ""},
         };
-        appendWorkloadSpecs(s);
-        appendEngineSpecs(s);
+        appendSpecs(s, kWorkloadSpecs);
+        appendSpecs(s, kEngineSpecs);
         // Parallelism knobs only: tune derives its trial list from the
         // search driver, so the sweep's --trials knob does not apply.
-        s.push_back({"jobs", "n", "total worker threads (0 = all cores)",
-                     "0"});
-        s.push_back({"shards", "n", "threads per sharded trial"
-                                    " (results-neutral; needs cells > 1)",
-                     "1"});
-        s.push_back({"pin", "mode", "shard-worker CPU pinning:"
-                                    " auto|off|physical (results-neutral)",
-                     "auto"});
-        s.push_back({"progress", "", "per-trial telemetry on stderr", ""});
+        for (const OptionSpec &spec : kSweepSpecs)
+            if (spec.name != "trials")
+                s.push_back(spec);
         return s;
     }();
     return specs;
@@ -1303,26 +1219,21 @@ runTune(const Options &options, std::ostream &out, std::ostream &err)
         tune::ParameterSpace::parse(space_spec);
 
     const std::string driver_name = options.getString("driver", "grid");
-    const auto budget =
-        static_cast<std::uint64_t>(options.getInt("budget", 64));
+    const std::uint64_t budget = options.getCount("budget", 64, 0, kMaxI64);
     const auto search_seed =
         static_cast<std::uint64_t>(options.getInt("search-seed", 1));
 
-    core::EngineConfig config = engineConfig(options);
-    const exp::RunnerOptions runner_options = runnerOptions(options, err);
-    const Workload workload = loadWorkload(options);
-    resolveAutoCells(options, workload.view(), config,
-                     runner_options.shards, err);
-
-    bool may_shard = config.shard_cells > 1;
+    // A space with a `cells` knob may partition even at --cells 1.
+    bool cells_vary = false;
     for (const tune::Knob &knob : space.knobs())
-        may_shard = may_shard || knob.name == "cells";
-    if (may_shard && workload.image)
-        workload.image->adviseShardedGather();
+        cells_vary = cells_vary || knob.name == "cells";
+    const Session session = openSession(
+        options, err, 1, trace::TraceOpenMode::Resident, cells_vary);
+    const trace::TraceView workload = session.view();
 
     const std::int64_t warmup_sec = options.getInt("warmup-sec", -1);
     const sim::SimTime fork_time = warmup_sec < 0
-        ? workload.view().duration() / 2
+        ? workload.duration() / 2
         : sim::sec(warmup_sec);
 
     exp::Heartbeat heartbeat(
@@ -1332,18 +1243,18 @@ runTune(const Options &options, std::ostream &out, std::ostream &err)
 
     tune::TuneOptions tune_options;
     tune_options.base_policy = options.getString("policy", "cidre");
-    tune_options.base_config = config;
-    tune_options.base_seed = baseSeed(options);
+    tune_options.base_config = session.config;
+    tune_options.base_seed = session.base_seed;
     tune_options.fork_time = fork_time;
     tune_options.warm = !options.getFlag("cold");
-    tune_options.runner = runner_options;
+    tune_options.runner = session.runner;
     tune_options.heartbeat = &heartbeat;
     tune_options.objectives =
         tune::parseObjectives(options.getString("objectives", ""));
     const std::vector<tune::ObjectiveDef> &objectives =
         tune_options.objectives;
 
-    tune::TuneEvaluator evaluator(space, workload.view(), tune_options);
+    tune::TuneEvaluator evaluator(space, workload, tune_options);
     const std::unique_ptr<tune::SearchDriver> driver =
         tune::makeDriver(driver_name, space, budget, search_seed);
 

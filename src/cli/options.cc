@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace cidre::cli {
 
@@ -87,6 +88,23 @@ Options::getInt(const std::string &name, std::int64_t fallback) const
         throw std::invalid_argument("bad integer for --" + name + ": '" +
                                     it->second + "'");
     return value;
+}
+
+std::uint64_t
+Options::getCount(const std::string &name, std::uint64_t fallback,
+                  std::uint64_t min, std::uint64_t max) const
+{
+    if (!has(name))
+        return fallback;
+    const std::int64_t value = getInt(name, 0);
+    if (value < 0 || static_cast<std::uint64_t>(value) < min ||
+        static_cast<std::uint64_t>(value) > max) {
+        throw std::invalid_argument(
+            "bad integer for --" + name + ": '" + getString(name) +
+            "' (must be in [" + std::to_string(min) + ", " +
+            std::to_string(max) + "])");
+    }
+    return static_cast<std::uint64_t>(value);
 }
 
 std::vector<std::string>

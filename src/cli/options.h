@@ -51,6 +51,15 @@ class Options
     std::int64_t getInt(const std::string &name,
                         std::int64_t fallback) const;
 
+    /**
+     * A count option (threads, workers, requests, ...): an integer in
+     * [@p min, @p max], @p fallback when absent.  Out-of-range values
+     * throw std::invalid_argument like a malformed integer, so a
+     * negative count can never wrap into a huge unsigned one.
+     */
+    std::uint64_t getCount(const std::string &name, std::uint64_t fallback,
+                           std::uint64_t min, std::uint64_t max) const;
+
     /** Boolean flag presence. */
     bool getFlag(const std::string &name) const { return has(name); }
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * The `.ckpt` checkpoint container: a versioned, checksummed envelope
- * around an engine state payload (see Engine::saveState).
+ * around an engine state payload (see Engine::saveState and
+ * ShardedEngine::saveState).
  *
  * Layout (little-endian, like `.ctrb`):
  *
@@ -45,7 +46,12 @@ struct CheckpointHeader
 static_assert(sizeof(CheckpointHeader) == 40,
               "on-disk checkpoint header layout must not change silently");
 
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/**
+ * Format version.  3: every caller saves a ShardedEngine (cell count,
+ * then each cell's Engine state), and the `run` payload is
+ * [u64 driver time][ShardedEngine state] with no engine-kind byte.
+ */
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

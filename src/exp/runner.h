@@ -27,9 +27,10 @@
  *
  * ## Nested parallelism (jobs × shards)
  *
- * A trial whose EngineConfig::shard_cells exceeds 1 runs through
- * core::ShardedEngine, which can itself fan its cells across threads.
- * The runner owns both layers: shards is first clamped to jobs, then a
+ * Every trial runs through core::ShardedEngine — at shard_cells == 1
+ * a byte-exact pass-through of the plain core::Engine — which can fan
+ * a partitioned trial's cells across threads.  The runner owns both
+ * layers: shards is first clamped to jobs, then a
  * reusable outer pool of max(1, jobs / shards) threads fans trials, and
  * each outer slot owns a private inner pool of `shards` threads that
  * its trials' cells run on, keeping the total thread count within the
@@ -170,8 +171,9 @@ struct RunnerOptions
      * knob); 0 and 1 both mean "run cells serially".  Clamped to the
      * effective `jobs` value so the two knobs together never exceed
      * the total thread budget.  Purely a wall-clock knob: any value
-     * yields bit-identical results.  Trials with shard_cells == 1
-     * ignore it.
+     * yields bit-identical results.  A trial's single cell
+     * (shard_cells == 1) runs inline on its outer thread, so only
+     * partitioned trials use the extra threads.
      */
     unsigned shards = 1;
 

@@ -164,18 +164,6 @@ consumeStream(Driver &&driver, IngestRing &ring,
     return stats;
 }
 
-/**
- * Convenience fronts: wrap the engine in its driver and run the
- * admission loop.  The engine must already be armed (beginLive());
- * the caller finishes it after this returns.
- */
-LiveStats runLive(core::Engine &engine, IngestRing &ring,
-                  const std::atomic<bool> &producers_done,
-                  const OrchestratorOptions &options = {});
-LiveStats runLive(core::ShardedEngine &engine, IngestRing &ring,
-                  const std::atomic<bool> &producers_done,
-                  const OrchestratorOptions &options = {});
-
 } // namespace cidre::live
 
 #endif // CIDRE_LIVE_ORCHESTRATOR_H

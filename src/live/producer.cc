@@ -88,16 +88,16 @@ SyntheticProducers::join()
 void
 SyntheticProducers::run(unsigned lane)
 {
-    // Lane `lane` owns virtual-arrival slots lane, lane+P, lane+2P, ...
-    // of the open-loop clock, so the union of all lanes is a dense
-    // arrival sequence whose global order the orchestrator restores by
-    // clamping (per-lane timestamps are monotonic by construction).
+    // Lane `lane` owns the open-loop clock's slots lane, lane+P,
+    // lane+2P, ... below total_requests, so the union of all lanes is
+    // the dense arrival sequence 0 .. total_requests-1, whose global
+    // order the orchestrator restores by clamping (per-lane timestamps
+    // are monotonic by construction).
     sim::Rng rng(sim::substreamSeed(options_.seed, lane));
-    const auto producers = static_cast<sim::SimTime>(options_.producers);
-    for (std::uint64_t k = 0; k < options_.requests_per_producer; ++k) {
+    for (std::uint64_t index = lane; index < options_.total_requests;
+         index += options_.producers) {
         const sim::SimTime slot =
-            (static_cast<sim::SimTime>(k) * producers + lane) *
-            options_.inter_arrival_us;
+            static_cast<sim::SimTime>(index) * options_.inter_arrival_us;
         const auto fn =
             static_cast<std::uint32_t>(rng.below(options_.function_count));
         ring_.pushBlocking(IngestRequest{fn, slot, options_.exec_us},

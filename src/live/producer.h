@@ -82,8 +82,11 @@ struct SyntheticOptions
 {
     /** Producer threads (each pushes its own interleaved lane). */
     unsigned producers = 1;
-    /** Requests pushed per producer thread. */
-    std::uint64_t requests_per_producer = 1'000'000;
+    /**
+     * Requests pushed across all producer threads: the global arrival
+     * slots 0 .. total_requests-1, lane p taking p, p+P, p+2P, ...
+     */
+    std::uint64_t total_requests = 1'000'000;
     /** Virtual microseconds between consecutive global arrivals. */
     sim::SimTime inter_arrival_us = 1;
     /** Execution time of every synthetic request. */

@@ -112,6 +112,14 @@ makePolicy(const std::string &name, const core::EngineConfig &config)
     throw std::invalid_argument("makePolicy: unknown policy '" + name + "'");
 }
 
+std::function<core::OrchestrationPolicy(const core::EngineConfig &)>
+makePolicyFactory(std::string name)
+{
+    return [name = std::move(name)](const core::EngineConfig &config) {
+        return makePolicy(name, config);
+    };
+}
+
 const std::vector<std::string> &
 allPolicyNames()
 {

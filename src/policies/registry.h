@@ -27,6 +27,7 @@
 #ifndef CIDRE_POLICIES_REGISTRY_H
 #define CIDRE_POLICIES_REGISTRY_H
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,15 @@ namespace cidre::policies {
  */
 core::OrchestrationPolicy makePolicy(const std::string &name,
                                      const core::EngineConfig &config);
+
+/**
+ * A per-cell policy factory (core::ShardedEngine::PolicyFactory) that
+ * builds the named bundle from each cell's own config.  The name is
+ * resolved at each call, so an unknown name throws when the first
+ * cell is built.
+ */
+std::function<core::OrchestrationPolicy(const core::EngineConfig &)>
+makePolicyFactory(std::string name);
 
 /** All fixed registry names (excludes the parameterized fixed-queue-N). */
 const std::vector<std::string> &allPolicyNames();

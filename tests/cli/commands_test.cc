@@ -6,11 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cli/commands.h"
+#include "cli/options.h"
 
 namespace cidre::cli {
 namespace {
@@ -193,6 +198,245 @@ TEST(CidreSim, ErrorsAreReported)
         invoke({"run", "--policy", "bogus", "--scale", "0.01"});
     EXPECT_EQ(bad_policy.status, 2);
     EXPECT_NE(bad_policy.err.find("unknown policy"), std::string::npos);
+}
+
+// ---- count options ------------------------------------------------------
+
+TEST(CidreSim, GetCountRejectsOutOfRangeValues)
+{
+    const std::vector<OptionSpec> specs = {{"n", "n", "a count", "1"}};
+    const auto parse = [&specs](const char *value) {
+        const char *argv[] = {"cmd", "--n", value};
+        return Options::parse(3, argv, specs);
+    };
+    EXPECT_EQ(parse("7").getCount("n", 1, 1, 8), 7u);
+    EXPECT_EQ(Options::parse(1, std::vector<const char *>{"cmd"}.data(),
+                             specs)
+                  .getCount("n", 3, 1, 8),
+              3u); // absent: the fallback
+    for (const char *bad : {"-1", "0", "9", "4294967295", "x", "1.5"}) {
+        try {
+            (void)parse(bad).getCount("n", 1, 1, 8);
+            ADD_FAILURE() << "accepted --n " << bad;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("bad integer for --n"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/**
+ * A negative or oversized count is rejected while the options are
+ * parsed: the trace path does not exist, so any later stage (loading
+ * the workload, building a pool or a cluster) would fail differently.
+ */
+TEST(CidreSim, CountOptionsAreRejectedBeforeAnyWork)
+{
+    const char *missing = "/nonexistent/cidre_sim_count_test.csv";
+    struct Case
+    {
+        std::vector<const char *> args;
+        const char *option;
+    };
+    const std::vector<Case> cases = {
+        {{"run", "--jobs", "-1"}, "jobs"},
+        {{"run", "--jobs", "1025"}, "jobs"},
+        {{"run", "--shards", "-1"}, "shards"},
+        {{"run", "--trials", "0"}, "trials"},
+        {{"run", "--workers", "-1"}, "workers"},
+        {{"run", "--threads", "-1"}, "threads"},
+        {{"run", "--cells", "-1"}, "cells"},
+        {{"run", "--top-functions", "-1"}, "top-functions"},
+        {{"compare", "--jobs", "-1"}, "jobs"},
+        {{"compare", "--trials", "-2"}, "trials"},
+        {{"live", "--producers", "-1"}, "producers"},
+        {{"live", "--producers", "4096"}, "producers"},
+        {{"live", "--batch", "0"}, "batch"},
+        {{"live", "--ring-capacity", "1"}, "ring-capacity"},
+        {{"live", "--ring-capacity", "16777217"}, "ring-capacity"},
+        {{"live", "--ring-capacity", "16", "--batch", "17"}, "batch"},
+        {{"live", "--open-loop", "--open-loop-requests", "-1"},
+         "open-loop-requests"},
+        {{"live", "--open-loop-iat-us", "0"}, "open-loop-iat-us"},
+        // The last slot, 4 x 2^62 us, would overflow the virtual clock.
+        {{"live", "--open-loop-requests", "4", "--open-loop-iat-us",
+          "4611686018427387904"},
+         "open-loop-iat-us"},
+        {{"live", "--open-loop-exec-ms", "-1"}, "open-loop-exec-ms"},
+        {{"tune", "--space", "ttl-sec=60", "--shards", "-1"}, "shards"},
+    };
+    for (const Case &c : cases) {
+        std::vector<const char *> argv = {"cidre_sim"};
+        argv.insert(argv.end(), c.args.begin(), c.args.end());
+        argv.push_back("--trace");
+        argv.push_back(missing);
+        std::ostringstream out;
+        std::ostringstream err;
+        const int status = dispatch(static_cast<int>(argv.size()),
+                                    argv.data(), out, err);
+        EXPECT_EQ(status, 2) << c.args[0] << " --" << c.option;
+        EXPECT_NE(err.str().find(std::string("bad integer for --") +
+                                 c.option),
+                  std::string::npos)
+            << err.str();
+    }
+
+    const RunResult copies = invoke({"synth", "--out", "x.ctrb", "--copies",
+                                     "0", missing});
+    EXPECT_EQ(copies.status, 2);
+    EXPECT_NE(copies.err.find("bad integer for --copies"),
+              std::string::npos)
+        << copies.err;
+}
+
+// ---- byte-identity contracts through the CLI ---------------------------
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+/** The checkpoint and live contract tests share one pinned image. */
+class CliContract : public ::testing::Test
+{
+  protected:
+    static void SetUpTestSuite()
+    {
+        image_ = ::testing::TempDir() + "cidre_sim_contract.ctrb";
+        const RunResult gen = invoke({"generate", "--out", image_.c_str(),
+                                      "--scale", "0.05", "--seed", "11"});
+        ASSERT_EQ(gen.status, 0) << gen.err;
+    }
+
+    static void TearDownTestSuite() { std::remove(image_.c_str()); }
+
+    static std::string image_;
+};
+
+std::string CliContract::image_;
+
+TEST_F(CliContract, ResumeEqualsUninterruptedRun)
+{
+    const std::string &image = image_;
+    const std::string dir = ::testing::TempDir();
+    for (const char *cells : {"1", "4"}) {
+        const std::string full = dir + "cidre_sim_full_" + cells + ".json";
+        const std::string resumed =
+            dir + "cidre_sim_resumed_" + cells + ".json";
+        const std::string ckpt = dir + "cidre_sim_" + cells + ".ckpt";
+        const RunResult uninterrupted = invoke(
+            {"run", "--policy", "cidre", "--trace", image.c_str(),
+             "--workers", "4", "--cells", cells, "--json", full.c_str()});
+        ASSERT_EQ(uninterrupted.status, 0) << uninterrupted.err;
+
+        const RunResult stop = invoke(
+            {"run", "--policy", "cidre", "--trace", image.c_str(),
+             "--workers", "4", "--cells", cells, "--shards", "2",
+             "--checkpoint", ckpt.c_str(), "--checkpoint-every-sec", "300",
+             "--stop-at-sec", "900"});
+        ASSERT_EQ(stop.status, 0) << stop.err;
+        EXPECT_NE(stop.out.find("stopped at 900 s"), std::string::npos)
+            << stop.out;
+
+        const RunResult resume = invoke(
+            {"run", "--policy", "cidre", "--trace", image.c_str(),
+             "--workers", "4", "--cells", cells, "--shards", "2",
+             "--resume-from", ckpt.c_str(), "--json", resumed.c_str()});
+        ASSERT_EQ(resume.status, 0) << resume.err;
+        EXPECT_EQ(resume.out, uninterrupted.out) << "cells " << cells;
+        EXPECT_EQ(readFile(resumed), readFile(full)) << "cells " << cells;
+        ASSERT_FALSE(readFile(full).empty());
+
+        std::remove(full.c_str());
+        std::remove(resumed.c_str());
+        std::remove(ckpt.c_str());
+    }
+}
+
+TEST_F(CliContract, StaleCheckpointVersionIsRejected)
+{
+    const std::string &image = image_;
+    const std::string ckpt = ::testing::TempDir() + "cidre_sim_stale.ckpt";
+    const RunResult stop = invoke(
+        {"run", "--policy", "ttl", "--trace", image.c_str(), "--checkpoint",
+         ckpt.c_str(), "--stop-at-sec", "600"});
+    ASSERT_EQ(stop.status, 0) << stop.err;
+
+    // Rewrite the header's version field (after the 8-byte magic) to 2,
+    // the layout with the engine-kind byte.
+    {
+        std::fstream file(ckpt,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        const std::uint32_t stale = 2;
+        file.seekp(8);
+        file.write(reinterpret_cast<const char *>(&stale), sizeof stale);
+    }
+    const RunResult resume =
+        invoke({"run", "--policy", "ttl", "--trace", image.c_str(),
+                "--resume-from", ckpt.c_str()});
+    EXPECT_EQ(resume.status, 2);
+    EXPECT_NE(resume.err.find("unsupported .ckpt version 2"),
+              std::string::npos)
+        << resume.err;
+    std::remove(ckpt.c_str());
+}
+
+TEST_F(CliContract, LiveEqualsRun)
+{
+    const std::string &image = image_;
+    const std::string dir = ::testing::TempDir();
+    for (const char *cells : {"1", "2"}) {
+        const std::string run_json = dir + "cidre_sim_run_" + cells + ".json";
+        const std::string live_json =
+            dir + "cidre_sim_live_" + cells + ".json";
+        const RunResult run = invoke(
+            {"run", "--policy", "cidre", "--trace", image.c_str(),
+             "--workers", "4", "--cells", cells, "--json",
+             run_json.c_str()});
+        ASSERT_EQ(run.status, 0) << run.err;
+        const RunResult live = invoke(
+            {"live", "--policy", "cidre", "--trace", image.c_str(),
+             "--workers", "4", "--cells", cells, "--json",
+             live_json.c_str()});
+        ASSERT_EQ(live.status, 0) << live.err;
+        ASSERT_FALSE(readFile(run_json).empty());
+        EXPECT_EQ(readFile(live_json), readFile(run_json))
+            << "cells " << cells;
+        // The metrics table follows the live-only timing lines.
+        const std::size_t table = live.out.find("policy: cidre");
+        ASSERT_NE(table, std::string::npos);
+        EXPECT_EQ(live.out.substr(table), run.out) << "cells " << cells;
+        std::remove(run_json.c_str());
+        std::remove(live_json.c_str());
+    }
+}
+
+TEST(CidreSim, TuneColdEqualsWarm)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string warm_json = dir + "cidre_sim_tune_warm.json";
+    const std::string cold_json = dir + "cidre_sim_tune_cold.json";
+    const char *space = "cells=1|2,ttl-sec=30|600";
+    const RunResult warm = invoke(
+        {"tune", "--space", space, "--policy", "ttl", "--scale", "0.03",
+         "--workers", "4", "--warmup-sec", "600", "--json",
+         warm_json.c_str()});
+    ASSERT_EQ(warm.status, 0) << warm.err;
+    const RunResult cold = invoke(
+        {"tune", "--space", space, "--policy", "ttl", "--scale", "0.03",
+         "--workers", "4", "--warmup-sec", "600", "--cold", "--jobs", "2",
+         "--json", cold_json.c_str()});
+    ASSERT_EQ(cold.status, 0) << cold.err;
+    EXPECT_NE(warm.out.find("\"evaluated\": 4"), std::string::npos)
+        << warm.out;
+    EXPECT_EQ(cold.out, warm.out);
+    EXPECT_EQ(readFile(cold_json), readFile(warm_json));
+    std::remove(warm_json.c_str());
+    std::remove(cold_json.c_str());
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 #include "core/metrics_io.h"
 #include "core/sharded_engine.h"
 #include "policies/registry.h"
+#include "sim/rng.h"
+#include "sim/serialize.h"
 #include "sim/thread_pool.h"
 #include "sim/topology.h"
 #include "trace/generators.h"
@@ -222,6 +224,72 @@ TEST(ShardedEngine, SingleCellIsBitIdenticalToPlainEngine)
         EXPECT_EQ(actual.outcomes[i].wait_us,
                   expected.outcomes[i].wait_us);
     }
+
+    // Every other entry point the trial drivers use passes through too.
+    const std::string want = metricsFingerprint(expected);
+    const sim::SimTime mid = workload.duration() / 2;
+    {
+        core::ShardedEngine stepped(workload, config, factoryFor("cidre"));
+        stepped.begin();
+        stepped.stepUntil(mid);
+        EXPECT_EQ(metricsFingerprint(stepped.finish()), want)
+            << "begin + stepUntil + finish";
+    }
+    {
+        core::ShardedEngine first(workload, config, factoryFor("cidre"));
+        first.begin();
+        first.stepUntil(mid);
+        sim::StateWriter writer;
+        first.saveState(writer);
+        const std::vector<std::byte> payload = writer.release();
+        sim::StateReader reader(payload);
+        core::ShardedEngine resumed(workload, config, factoryFor("cidre"));
+        resumed.loadState(reader);
+        EXPECT_EQ(metricsFingerprint(resumed.finish()), want)
+            << "saveState -> loadState + finish";
+    }
+
+    // A tune fork: swap the policy and reseed at the boundary.
+    const auto fork = [](core::Engine &engine, std::uint32_t cell) {
+        engine.swapPolicy(policies::makePolicy("ttl", engine.config()));
+        engine.reseed(sim::substreamSeed(7, cell));
+    };
+    {
+        core::Engine plain_fork(workload, config,
+                                policies::makePolicy("cidre", config));
+        plain_fork.begin();
+        plain_fork.stepUntil(mid);
+        fork(plain_fork, 0);
+        core::ShardedEngine sharded_fork(workload, config,
+                                         factoryFor("cidre"));
+        sharded_fork.begin();
+        sharded_fork.stepUntil(mid);
+        sharded_fork.forEachCell(fork);
+        EXPECT_EQ(metricsFingerprint(sharded_fork.finish()),
+                  metricsFingerprint(plain_fork.finish()))
+            << "forEachCell fork";
+    }
+
+    // Live admission (no per-request log in live mode).
+    auto live_config = config;
+    live_config.record_per_request = false;
+    const trace::TraceView view(workload);
+    const auto admitAll = [&view](auto &engine) {
+        engine.beginLive();
+        for (std::uint64_t i = 0; i < view.requestCount(); ++i)
+            engine.admit(view.arrivalUs(i), view.requestFunction(i),
+                         view.execUs(i));
+        engine.closeStream();
+    };
+    core::Engine plain_live(workload, live_config,
+                            policies::makePolicy("cidre", live_config));
+    admitAll(plain_live);
+    core::ShardedEngine sharded_live(workload, live_config,
+                                     factoryFor("cidre"));
+    admitAll(sharded_live);
+    EXPECT_EQ(metricsFingerprint(sharded_live.finish()),
+              metricsFingerprint(plain_live.finish()))
+        << "beginLive + admit + closeStream + finish";
 }
 
 // ---- thread-count neutrality ------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <stdexcept>
@@ -133,7 +134,8 @@ TEST(LiveBridge, FullStreamStackMatchesTraceRun)
         pacer.join();
         done.store(true, std::memory_order_release);
     });
-    const live::LiveStats stats = live::runLive(engine, ring, done, {});
+    const live::LiveStats stats = live::consumeStream(
+        live::SingleCellDriver{engine}, ring, done);
     closer.join();
 
     EXPECT_EQ(stats.admitted, view.requestCount());
@@ -203,7 +205,8 @@ TEST(LiveBridge, OrchestratorClampsOutOfOrderArrivals)
     ring.pushBlocking({fn, sim::msec(6), sim::msec(10)}, backpressure);
     std::atomic<bool> done{true};
 
-    const live::LiveStats stats = live::runLive(engine, ring, done, {});
+    const live::LiveStats stats = live::consumeStream(
+        live::SingleCellDriver{engine}, ring, done);
     EXPECT_EQ(stats.admitted, 3u);
     EXPECT_EQ(stats.reordered, 1u);
     const core::RunMetrics metrics = engine.finish();
@@ -266,7 +269,7 @@ TEST(LiveBridge, SyntheticOpenLoopDrivesTheFullStack)
     live::ProducerStats producer_stats;
     live::SyntheticOptions options;
     options.producers = 3;
-    options.requests_per_producer = 5'000;
+    options.total_requests = 15'000;
     options.function_count = 2;
     options.exec_us = sim::msec(1);
     std::atomic<bool> done{false};
@@ -276,13 +279,75 @@ TEST(LiveBridge, SyntheticOpenLoopDrivesTheFullStack)
         producers.join();
         done.store(true, std::memory_order_release);
     });
-    const live::LiveStats stats = live::runLive(engine, ring, done, {});
+    const live::LiveStats stats = live::consumeStream(
+        live::SingleCellDriver{engine}, ring, done);
     closer.join();
 
     EXPECT_EQ(stats.admitted, 15'000u);
     EXPECT_EQ(producer_stats.produced.load(), 15'000u);
     const core::RunMetrics metrics = engine.finish();
     EXPECT_EQ(metrics.total(), 15'000u);
+}
+
+/**
+ * Open-loop producers emit exactly the requested total, on the dense
+ * global slots 0 .. N-1, whether or not P divides N.
+ */
+TEST(LiveBridge, OpenLoopEmitsExactlyTheRequestedTotal)
+{
+    struct Case
+    {
+        unsigned producers;
+        std::uint64_t total;
+    };
+    for (const Case c : {Case{3, 10}, Case{4, 2}, Case{3, 9}}) {
+        live::IngestRing ring(16); // holds every request: no draining race
+        live::ProducerStats producer_stats;
+        live::SyntheticOptions options;
+        options.producers = c.producers;
+        options.total_requests = c.total;
+        options.inter_arrival_us = 7;
+        live::SyntheticProducers producers(ring, producer_stats, options);
+        producers.start();
+        producers.join();
+
+        std::vector<live::IngestRequest> batch(16);
+        const std::size_t n = ring.drain(batch.data(), batch.size());
+        std::vector<sim::SimTime> arrivals;
+        for (std::size_t i = 0; i < n; ++i)
+            arrivals.push_back(batch[i].arrival_us);
+        std::sort(arrivals.begin(), arrivals.end());
+        std::vector<sim::SimTime> dense;
+        for (std::uint64_t slot = 0; slot < c.total; ++slot)
+            dense.push_back(static_cast<sim::SimTime>(slot) * 7);
+        EXPECT_EQ(arrivals, dense)
+            << c.producers << " producers, " << c.total << " requests";
+        EXPECT_EQ(producer_stats.produced.load(), c.total);
+    }
+
+    // And through the admission loop: 10 requests on 3 lanes admit 10.
+    trace::Trace t;
+    const auto fn = test::addFunction(t, 256, sim::msec(100));
+    t.addRequest(fn, 0, sim::msec(10));
+    t.seal();
+    core::EngineConfig config = test::smallConfig();
+    config.record_per_request = false;
+    core::Engine engine(trace::TraceView(t), config,
+                        policies::makePolicy("ttl", config));
+    engine.beginLive();
+    live::IngestRing ring(16);
+    live::ProducerStats producer_stats;
+    live::SyntheticOptions options;
+    options.producers = 3;
+    options.total_requests = 10;
+    live::SyntheticProducers producers(ring, producer_stats, options);
+    producers.start();
+    producers.join();
+    const std::atomic<bool> done{true};
+    const live::LiveStats stats = live::consumeStream(
+        live::SingleCellDriver{engine}, ring, done);
+    EXPECT_EQ(stats.admitted, 10u);
+    EXPECT_EQ(engine.finish().total(), 10u);
 }
 
 } // namespace
