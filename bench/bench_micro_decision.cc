@@ -13,6 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <set>
 
 #include "core/engine.h"
 #include "policies/keepalive/cip.h"
@@ -26,11 +27,11 @@ namespace {
 using namespace cidre;
 
 trace::Trace
-smallWorkload()
+smallWorkload(sim::SimTime duration = sim::minutes(2))
 {
     trace::SyntheticSpec spec = trace::azureLikeSpec();
     spec.functions = 50;
-    spec.duration = sim::minutes(2);
+    spec.duration = duration;
     spec.total_rps = 100.0;
     return trace::generate(spec, 7);
 }
@@ -149,36 +150,51 @@ BENCHMARK_CAPTURE(BM_WindowAdd, unqueried, false)->Arg(64)->Arg(512);
 BENCHMARK_CAPTURE(BM_WindowAdd, queried, true)->Arg(64)->Arg(512);
 
 /**
- * One incremental CIP reclaim ranking on a warm cache: bucket-head
- * k-way merge instead of the old rescore-everything-and-sort.  The
- * plan is ranked but never applied, so every iteration sees the same
- * idle population.
+ * One CIP reclaim scan on a warm cache, as the engine pays it: one bonus
+ * per function with idle containers, then the victims.  The engine runs
+ * a one-minute workload to completion, which leaves a fixed idle
+ * population and no pending events.  Every iteration then advances the
+ * simulated clock by 1 us, so each scan runs at its own instant and
+ * evaluates every bonus (Freq decays with time) instead of re-reading
+ * same-instant results; that event-free clock step is part of the
+ * measured time.  The plan is never applied.  The demand is in MB: 1
+ * takes exactly one victim, the common case in pressured replays;
+ * larger demands take as many as they need (the victims counter).
  */
 void
 BM_CipReclaimRanking(benchmark::State &state)
 {
-    static const trace::Trace workload = smallWorkload();
+    static const trace::Trace workload = smallWorkload(sim::minutes(1));
     core::EngineConfig config;
     config.cluster.workers = 1;
     config.cluster.total_memory_mb = 16 * 1024;
     core::Engine engine(workload, config,
                         policies::makePolicy("cidre", config));
-    // Stop mid-run so the worker holds a live idle population.
     engine.begin();
-    engine.stepUntil(sim::minutes(1));
+    engine.stepUntil(sim::minutes(5)); // every request has completed
 
     policies::CipKeepAlive cip;
     const core::ReclaimRequest demand{0, state.range(0), 0,
                                       cluster::kInvalidContainer};
     core::ReclaimPlan plan;
     cip.planReclaim(engine, demand, plan); // warm-up: builds the buckets
+    std::uint64_t victims = 0;
     for (auto _ : state) {
+        engine.stepUntil(engine.now() + 1);
         plan.clear();
         cip.planReclaim(engine, demand, plan);
-        benchmark::DoNotOptimize(plan.evict.size());
+        benchmark::DoNotOptimize(plan.evict.data());
+        victims += plan.evict.size();
     }
+    std::set<trace::FunctionId> functions;
+    for (const cluster::ContainerId cid : engine.idleContainersOn(0))
+        functions.insert(engine.clusterRef().container(cid).function);
+    state.counters["idle_functions"] =
+        static_cast<double>(functions.size());
+    state.counters["victims"] = benchmark::Counter(
+        static_cast<double>(victims), benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_CipReclaimRanking)->Arg(256)->Arg(1024);
+BENCHMARK(BM_CipReclaimRanking)->Arg(1)->Arg(256)->Arg(1024);
 
 /**
  * Whole-engine cost per simulated event, per policy: the end-to-end

@@ -77,6 +77,28 @@ baseSeed(const Options &options)
 }
 
 /**
+ * --pin-cpu: -1 (unpinned) or the id of a CPU the topology reports.  A
+ * CPU index, not a count, so it is checked against the host: any other
+ * value would wrap or make the pin fail silently.
+ */
+int
+pinCpu(const Options &options)
+{
+    const std::int64_t cpu = options.getInt("pin-cpu", -1);
+    if (cpu == -1)
+        return -1;
+    const sim::CpuTopology topology = sim::CpuTopology::detect();
+    for (const sim::CpuTopology::Cpu &online : topology.cpus) {
+        if (online.id == cpu)
+            return online.id;
+    }
+    throw std::invalid_argument(
+        "bad integer for --pin-cpu: '" + options.getString("pin-cpu") +
+        "' (must be -1 or the id of one of the " +
+        std::to_string(topology.cpus.size()) + " online CPUs)");
+}
+
+/**
  * A loaded workload: either an owned in-memory trace or a shared mmapped
  * trace image.  view() is computed on demand so the holder stays safe to
  * move/copy (a cached view would dangle once the Trace relocates).
@@ -979,7 +1001,7 @@ runLive(const Options &options, std::ostream &out, std::ostream &err)
     live::OrchestratorOptions orch;
     // A drain never returns more than the ring holds.
     orch.batch = options.getCount("batch", 256, 1, ring_capacity);
-    orch.pin_cpu = static_cast<int>(options.getInt("pin-cpu", -1));
+    orch.pin_cpu = pinCpu(options);
 
     // Ingest source: replay the loaded trace's arrival sequence
     // (optionally wall-clock paced) or run the synthetic open-loop

@@ -47,11 +47,13 @@ static_assert(sizeof(CheckpointHeader) == 40,
               "on-disk checkpoint header layout must not change silently");
 
 /**
- * Format version.  3: every caller saves a ShardedEngine (cell count,
- * then each cell's Engine state), and the `run` payload is
+ * Format version.  Every caller saves a ShardedEngine (cell count, then
+ * each cell's Engine state), and the `run` payload is
  * [u64 driver time][ShardedEngine state] with no engine-kind byte.
+ * 4: CIP keeps one scan stamp per worker instead of a global scan
+ * counter and a per-(worker, function) scan sequence.
  */
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /**
  * Digest of the run configuration a checkpoint belongs to: engine

@@ -132,18 +132,6 @@ FunctionState::noteArrival(sim::SimTime now)
     arrival_window_.add(now);
 }
 
-double
-FunctionState::freqPerMinute(sim::SimTime now) const
-{
-    if (first_request_at_ < 0 || total_invocations_ == 0)
-        return 0.0;
-    // Eq. 4: n_F / minutes since the first request.  Clamp the horizon
-    // to one minute so brand-new functions don't get unbounded rates.
-    const double mins =
-        std::max(1.0, sim::toMin(now - first_request_at_));
-    return static_cast<double>(total_invocations_) / mins;
-}
-
 void
 FunctionState::saveState(sim::StateWriter &writer) const
 {

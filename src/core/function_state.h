@@ -11,6 +11,7 @@
 #ifndef CIDRE_CORE_FUNCTION_STATE_H
 #define CIDRE_CORE_FUNCTION_STATE_H
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -110,7 +111,17 @@ class FunctionState
      * Freq(F(c)) of Eq. 4: average invocations per minute since the
      * function's first request.  Decays as time passes without use.
      */
-    double freqPerMinute(sim::SimTime now) const;
+    double freqPerMinute(sim::SimTime now) const
+    {
+        if (first_request_at_ < 0 || total_invocations_ == 0)
+            return 0.0;
+        // Eq. 4: n_F / minutes since the first request.  Clamp the
+        // horizon to one minute so brand-new functions don't get
+        // unbounded rates.
+        const double mins =
+            std::max(1.0, sim::toMin(now - first_request_at_));
+        return static_cast<double>(total_invocations_) / mins;
+    }
 
     /**
      * Arrival timestamps within the recent window, for the rate

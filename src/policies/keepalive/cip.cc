@@ -2,11 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 #include "core/engine.h"
 #include "sim/serialize.h"
 
 namespace cidre::policies {
+
+namespace {
+
+/**
+ * The weighted Freq·Cost/(Size·|F|) bonus of Eq. 3 at @p now.  The one
+ * formula behind both bonusOf's memo and the reclaim scan, so the two
+ * agree bit for bit.
+ */
+double
+cipBonus(double weight, const trace::FunctionProfile &profile,
+         const core::FunctionState &fs, sim::SimTime now)
+{
+    const double freq = fs.freqPerMinute(now);
+    const auto cost = static_cast<double>(profile.cold_start_us);
+    const auto size =
+        static_cast<double>(std::max<std::int64_t>(profile.memory_mb, 1));
+    const auto k =
+        static_cast<double>(std::max<std::uint32_t>(fs.cachedCount(), 1));
+    return weight * (freq * cost / (size * k));
+}
+
+} // namespace
 
 void
 CipKeepAlive::onAdmit(core::Engine &engine, cluster::Container &container,
@@ -97,16 +120,10 @@ CipKeepAlive::bonusOf(core::Engine &engine, trace::FunctionId function)
     if (memo.when == now && memo.epoch == fs.priorityEpoch())
         return memo.bonus;
 
-    const auto &profile = engine.workload().functions()[function];
-    const double freq = fs.freqPerMinute(now);
-    const auto cost = static_cast<double>(profile.cold_start_us);
-    const auto size = static_cast<double>(
-        std::max<std::int64_t>(profile.memory_mb, 1));
-    const auto k =
-        static_cast<double>(std::max<std::uint32_t>(fs.cachedCount(), 1));
     memo.when = now;
     memo.epoch = fs.priorityEpoch();
-    memo.bonus = bonus_weight_ * (freq * cost / (size * k));
+    memo.bonus = cipBonus(bonus_weight_,
+                          engine.workload().functions()[function], fs, now);
     return memo.bonus;
 }
 
@@ -121,7 +138,6 @@ CipKeepAlive::stateFor(core::Engine &engine, cluster::WorkerId worker)
         ws.buckets.resize(fns);
         ws.active_slot.resize(fns, -1);
         ws.scan_bonus.resize(fns, 0.0);
-        ws.scan_seq.resize(fns, 0);
     }
     return ws;
 }
@@ -135,13 +151,14 @@ CipKeepAlive::insertIdle(WorkerState &ws, const cluster::Container &container)
         ws.active_slot[f] = static_cast<std::int32_t>(ws.active.size());
         ws.active.push_back(f);
     }
-    // The entry remembers the scan seq current at insertion: a later
-    // larger seq on this (worker, function) cell means a reclaim scan
-    // saw the container while idle and re-wrote its priority.
+    // The entry remembers the worker's scan stamp at insertion: a later
+    // larger stamp means a reclaim scan saw the container while idle
+    // (every scan records every function with idle containers) and
+    // re-wrote its priority.
     const IdleEntry entry{.clock = container.clock,
                           .seq = container.seq,
                           .id = container.id,
-                          .scan_mark = ws.scan_seq[f]};
+                          .scan_mark = ws.last_scan};
     bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), entry),
                   entry);
 }
@@ -162,7 +179,7 @@ CipKeepAlive::removeIdle(WorkerState &ws, const cluster::Container &container,
         return false;
     }
     if (stale_priority != nullptr) {
-        *stale_priority = ws.scan_seq[f] > it->scan_mark
+        *stale_priority = ws.last_scan > it->scan_mark
             ? container.clock + ws.scan_bonus[f]
             : container.priority;
     }
@@ -195,8 +212,8 @@ CipKeepAlive::rebuild(core::Engine &engine, cluster::WorkerId worker,
                 static_cast<std::int32_t>(ws.active.size());
             ws.active.push_back(c.function);
         }
-        // Mark 0 (never a live scan seq): the scan that follows in
-        // planReclaim re-records every bonus, so reconstruction always
+        // Mark 0 (below every stamp a scan takes): the scan that follows
+        // in planReclaim re-records every bonus, so reconstruction always
         // routes through it — exactly the brute-force full-scan effect.
         bucket.push_back({c.clock, c.seq, cid, 0});
     }
@@ -215,33 +232,49 @@ CipKeepAlive::planReclaim(core::Engine &engine,
     if (!ws.valid || ws.epoch != engine.idleEpoch(request.worker))
         rebuild(engine, request.worker, ws);
 
-    // Record this scan.  One bonus per function with idle containers is
-    // the exactness floor: Freq (Eq. 4) decays continuously, so every
-    // scan instant has its own bonus — but bonusOf memoizes, making the
-    // repeated scans of a multi-worker placement sweep O(1) per entry.
-    const std::uint64_t seq = ++scan_counter_;
+    // Record this scan and find its first victim in one pass.  One
+    // bonus per function with idle containers is the exactness floor:
+    // Freq (Eq. 4) decays continuously, so every scan instant has its
+    // own bonus.  The lowest head by (score, seq) is the lowest idle
+    // container overall, since each bucket is in priority order.
+    ++ws.last_scan;
+    const sim::SimTime now = engine.now();
+    const std::span<const trace::FunctionProfile> profiles =
+        engine.workload().functions();
+    const auto lower = [](const Head &a, const Head &b) {
+        if (a.score != b.score)
+            return a.score < b.score;
+        return a.seq < b.seq;
+    };
     ws.heads.clear();
+    std::size_t lowest = 0;
     for (const trace::FunctionId f : ws.active) {
-        const double bonus = bonusOf(engine, f);
+        const double bonus = cipBonus(bonus_weight_, profiles[f],
+                                      engine.functionState(f), now);
         ws.scan_bonus[f] = bonus;
-        ws.scan_seq[f] = seq;
         const IdleEntry &head = ws.buckets[f].front();
         ws.heads.push_back({head.clock + bonus, head.seq, head.id, f, 1});
+        if (lower(ws.heads.back(), ws.heads[lowest]))
+            lowest = ws.heads.size() - 1;
     }
 
-    // K-way merge of the bucket heads: pops come out in exactly the
-    // ascending (score, seq) order a full rescore-and-sort would yield.
-    const auto heap_after = [](const Head &a, const Head &b) {
-        if (a.score != b.score)
-            return a.score > b.score;
-        return a.seq > b.seq;
+    // Pop victims in ascending (score, seq) order, exactly as a full
+    // rescore-and-sort would: the first is the minimum the scan found;
+    // a second one builds the k-way merge heap over the bucket heads.
+    const auto heap_after = [&lower](const Head &a, const Head &b) {
+        return lower(b, a);
     };
-    std::make_heap(ws.heads.begin(), ws.heads.end(), heap_after);
-
     std::int64_t freed = 0;
     cluster::Cluster &cl = engine.clusterRef();
-    while (freed < request.need_mb && !ws.heads.empty()) {
-        std::pop_heap(ws.heads.begin(), ws.heads.end(), heap_after);
+    for (std::size_t pops = 0;
+         freed < request.need_mb && !ws.heads.empty(); ++pops) {
+        if (pops == 0) {
+            std::swap(ws.heads[lowest], ws.heads.back());
+        } else {
+            if (pops == 1)
+                std::make_heap(ws.heads.begin(), ws.heads.end(), heap_after);
+            std::pop_heap(ws.heads.begin(), ws.heads.end(), heap_after);
+        }
         const Head h = ws.heads.back();
         ws.heads.pop_back();
         if (h.id != request.exclude) {
@@ -257,7 +290,8 @@ CipKeepAlive::planReclaim(core::Engine &engine,
             const IdleEntry &e = bucket[h.next];
             ws.heads.push_back({e.clock + ws.scan_bonus[h.function], e.seq,
                                 e.id, h.function, h.next + 1});
-            std::push_heap(ws.heads.begin(), ws.heads.end(), heap_after);
+            if (pops > 0)
+                std::push_heap(ws.heads.begin(), ws.heads.end(), heap_after);
         }
     }
     if (freed < request.need_mb)
@@ -267,7 +301,6 @@ CipKeepAlive::planReclaim(core::Engine &engine,
 void
 CipKeepAlive::saveState(sim::StateWriter &writer) const
 {
-    writer.put(scan_counter_);
     writer.put<std::uint64_t>(workers_.size());
     for (const WorkerState &ws : workers_) {
         writer.put<std::uint64_t>(ws.buckets.size());
@@ -276,7 +309,7 @@ CipKeepAlive::saveState(sim::StateWriter &writer) const
         writer.putVector(ws.active);
         writer.putVector(ws.active_slot);
         writer.putVector(ws.scan_bonus);
-        writer.putVector(ws.scan_seq);
+        writer.put(ws.last_scan);
         writer.put(ws.epoch);
         writer.put(ws.valid);
     }
@@ -285,7 +318,6 @@ CipKeepAlive::saveState(sim::StateWriter &writer) const
 void
 CipKeepAlive::loadState(sim::StateReader &reader)
 {
-    scan_counter_ = reader.get<std::uint64_t>();
     const auto worker_count = reader.get<std::uint64_t>();
     workers_.clear();
     workers_.resize(static_cast<std::size_t>(worker_count));
@@ -297,7 +329,7 @@ CipKeepAlive::loadState(sim::StateReader &reader)
         ws.active = reader.getVector<trace::FunctionId>();
         ws.active_slot = reader.getVector<std::int32_t>();
         ws.scan_bonus = reader.getVector<double>();
-        ws.scan_seq = reader.getVector<std::uint64_t>();
+        ws.last_scan = reader.get<std::uint64_t>();
         ws.epoch = reader.get<std::uint64_t>();
         ws.valid = reader.get<bool>();
         ws.heads.clear();

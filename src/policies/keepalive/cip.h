@@ -22,22 +22,29 @@
  * while a container sits idle.  So each worker keeps per-function
  * buckets of its idle containers ordered by (clock, seq); within a
  * bucket that order *is* the priority order at any instant.  A reclaim
- * computes one bonus per function with idle containers (O(F_w), cheap
- * and memoized across same-instant scans) and k-way-merges the bucket
- * heads through a min-heap keyed by (clock + bonus, seq) — popping
- * victims lowest-priority-first in exactly the (score, seq) order a full
- * rescore-and-sort would produce, but in O(evicted · log F_w).  (The
- * tie-break is Container::seq, not the recyclable slot id; seq is the
- * creation order ids used to encode when the slab was append-only.)
+ * makes one pass over the F_w functions with idle containers: it
+ * computes and records each bonus and finds the lowest bucket head by
+ * (clock + bonus, seq), which is the first victim.  Only when a second
+ * victim is needed are the remaining heads k-way-merged through a
+ * min-heap — popping victims lowest-priority-first in exactly the
+ * (score, seq) order a full rescore-and-sort would produce.  A scan is
+ * O(F_w) bonus evaluations (the exactness floor: Freq decays
+ * continuously) plus O(1) selection for one victim, O(v · log F_w) for
+ * v > 1.  (The tie-break is Container::seq, not the recyclable slot id;
+ * seq is the creation order ids used to encode when the slab was
+ * append-only.  Since seq is unique, (score, seq) is a total order.)
  *
  * Bit-identity with the brute-force path is preserved including its
  * side effects: the old scan wrote a fresh priority into *every* idle
  * container, and onUse reads that stale value (clock ← priority).  The
  * incremental path records, per (worker, function), the bonus of the
  * most recent scan; when a container leaves the idle list its
- * scan-time priority is reconstructed as clock + recorded bonus (entries
- * carry the scan sequence number current at insertion, so "was this
- * container scanned while idle?" is a single comparison).
+ * scan-time priority is reconstructed as clock + recorded bonus.  Every
+ * scan records every function with idle containers, so "was this
+ * container scanned while idle?" is one comparison of the worker's
+ * scan stamp against the stamp its entry carried at insertion.  A scan
+ * whose plan comes back empty still has these effects, so it can be
+ * neither skipped nor cut short.
  */
 
 #ifndef CIDRE_POLICIES_KEEPALIVE_CIP_H
@@ -68,7 +75,7 @@ class CipKeepAlive : public RankedKeepAlive
         std::uint64_t seq = 0; //!< Container::seq (stable across slot reuse)
         cluster::ContainerId id = 0;
         std::uint32_t pad = 0;
-        /** Scan seq of the (worker, function) cell at insertion time. */
+        /** The worker's scan stamp (WorkerState::last_scan) at insertion. */
         std::uint64_t scan_mark = 0;
 
         /** Bucket order (clock, seq): the within-function priority order,
@@ -115,10 +122,10 @@ class CipKeepAlive : public RankedKeepAlive
 
     /**
      * Checkpoint/restore.  The incremental buckets, recorded scan
-     * bonuses/seqs and the scan counter are real state: onUse
+     * bonuses and the scan stamps are real state: onUse
      * reconstructs the stale scan-time priority of a container from
      * them, so dropping any of it would diverge from an uninterrupted
-     * run.  The selection heap and the bonus memo are scratch.
+     * run.  The selection heads and the bonus memo are scratch.
      */
     void saveState(sim::StateWriter &writer) const override;
     void loadState(sim::StateReader &reader) override;
@@ -128,7 +135,7 @@ class CipKeepAlive : public RankedKeepAlive
                  cluster::Container &container) override;
 
   private:
-    /** A bucket head inside the k-way selection heap. */
+    /** A bucket head, a candidate for the next victim of a scan. */
     struct Head
     {
         double score;      //!< clock + per-function bonus
@@ -149,9 +156,9 @@ class CipKeepAlive : public RankedKeepAlive
         std::vector<std::int32_t> active_slot;
         /** Bonus recorded by the latest scan touching this function. */
         std::vector<double> scan_bonus;
-        /** Scan seq of that bonus (0 = never scanned). */
-        std::vector<std::uint64_t> scan_seq;
-        /** Selection scratch: the k-way merge heap. */
+        /** Number of scans of this worker so far (0 = never scanned). */
+        std::uint64_t last_scan = 0;
+        /** Selection scratch: the bucket heads, heaped for a 2nd victim. */
         std::vector<Head> heads;
         /** Engine idle epoch the buckets mirror; valid gates use. */
         std::uint64_t epoch = 0;
@@ -174,7 +181,6 @@ class CipKeepAlive : public RankedKeepAlive
                     double *stale_priority);
 
     std::vector<WorkerState> workers_;
-    std::uint64_t scan_counter_ = 0;
     double bonus_weight_ = 1.0;
 
     /** bonusOf memo: same (now, priorityEpoch) ⇒ same bonus. */

@@ -16,6 +16,7 @@
 
 #include "cli/commands.h"
 #include "cli/options.h"
+#include "sim/topology.h"
 
 namespace cidre::cli {
 namespace {
@@ -290,6 +291,33 @@ TEST(CidreSim, CountOptionsAreRejectedBeforeAnyWork)
         << copies.err;
 }
 
+TEST(CidreSim, PinCpuIsCheckedAgainstTheTopologyBeforeAnyWork)
+{
+    // Each value is paired with a nonexistent --trace, so only option
+    // parsing can report it; a value that parses fails on the trace.
+    const char *missing = "/nonexistent/cidre_sim_pin_test.csv";
+    // 4294967295 used to wrap to -1 (unpinned) and 99999 to pin nowhere;
+    // both exited 0.
+    for (const char *bad : {"4294967295", "99999", "-2", "1.5"}) {
+        const RunResult r =
+            invoke({"live", "--pin-cpu", bad, "--trace", missing});
+        EXPECT_EQ(r.status, 2) << bad;
+        EXPECT_NE(r.err.find("bad integer for --pin-cpu"), std::string::npos)
+            << bad << ": " << r.err;
+    }
+    const std::string online =
+        std::to_string(sim::CpuTopology::detect().cpus.front().id);
+    for (const char *good : {"-1", online.c_str()}) {
+        const RunResult r =
+            invoke({"live", "--pin-cpu", good, "--trace", missing});
+        EXPECT_EQ(r.status, 2) << good;
+        EXPECT_EQ(r.err.find("--pin-cpu"), std::string::npos)
+            << good << ": " << r.err;
+        EXPECT_NE(r.err.find("cannot open"), std::string::npos)
+            << good << ": " << r.err;
+    }
+}
+
 // ---- byte-identity contracts through the CLI ---------------------------
 
 std::string
@@ -366,12 +394,12 @@ TEST_F(CliContract, StaleCheckpointVersionIsRejected)
          ckpt.c_str(), "--stop-at-sec", "600"});
     ASSERT_EQ(stop.status, 0) << stop.err;
 
-    // Rewrite the header's version field (after the 8-byte magic) to 2,
-    // the layout with the engine-kind byte.
+    // Rewrite the header's version field (after the 8-byte magic) to 3,
+    // the layout with CIP's per-(worker, function) scan sequences.
     {
         std::fstream file(ckpt,
                           std::ios::in | std::ios::out | std::ios::binary);
-        const std::uint32_t stale = 2;
+        const std::uint32_t stale = 3;
         file.seekp(8);
         file.write(reinterpret_cast<const char *>(&stale), sizeof stale);
     }
@@ -379,7 +407,7 @@ TEST_F(CliContract, StaleCheckpointVersionIsRejected)
         invoke({"run", "--policy", "ttl", "--trace", image.c_str(),
                 "--resume-from", ckpt.c_str()});
     EXPECT_EQ(resume.status, 2);
-    EXPECT_NE(resume.err.find("unsupported .ckpt version 2"),
+    EXPECT_NE(resume.err.find("unsupported .ckpt version 3 (expected 4)"),
               std::string::npos)
         << resume.err;
     std::remove(ckpt.c_str());

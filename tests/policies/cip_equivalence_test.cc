@@ -11,18 +11,24 @@
  * rewrote container.priority for all of them as a side effect — the
  * value onUse later reads.  The incremental policy reconstructs those
  * side effects lazily, so any divergence shows up here as a different
- * eviction order or drifting metrics.
+ * eviction order or drifting metrics.  Both sides take the same Eq. 3
+ * bonus weight (cip-weight; 0 makes every score a clock tie broken by
+ * seq), and one variant checkpoints the incremental engine mid-run and
+ * finishes it in a fresh engine, through the CIP checkpoint layout.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/engine.h"
 #include "policies/keepalive/cip.h"
 #include "policies/keepalive/ranked.h"
 #include "policies/scaling/css.h"
+#include "sim/serialize.h"
 #include "tests/core/test_helpers.h"
 #include "trace/generators.h"
 
@@ -33,8 +39,8 @@ namespace {
 class BruteForceCip : public RankedKeepAlive
 {
   public:
-    explicit BruteForceCip(std::vector<cluster::ContainerId> &log)
-        : log_(log)
+    BruteForceCip(std::vector<cluster::ContainerId> &log, double weight)
+        : log_(log), weight_(weight)
     {
     }
 
@@ -74,19 +80,22 @@ class BruteForceCip : public RankedKeepAlive
             std::max<std::int64_t>(profile.memory_mb, 1));
         const auto k = static_cast<double>(
             std::max<std::uint32_t>(fs.cachedCount(), 1));
-        container.priority = container.clock + freq * cost / (size * k);
+        container.priority =
+            container.clock + weight_ * (freq * cost / (size * k));
         return container.priority;
     }
 
   private:
     std::vector<cluster::ContainerId> &log_;
+    double weight_;
 };
 
 /** The production incremental CIP, with the same eviction logging. */
 class LoggingCip : public CipKeepAlive
 {
   public:
-    explicit LoggingCip(std::vector<cluster::ContainerId> &log) : log_(log)
+    LoggingCip(std::vector<cluster::ContainerId> &log, double weight)
+        : CipKeepAlive(weight), log_(log)
     {
     }
 
@@ -112,37 +121,44 @@ pressuredWorkload(std::uint64_t seed)
     return trace::generate(spec, seed);
 }
 
-class CipEquivalenceTest : public ::testing::TestWithParam<int>
+core::EngineConfig
+pressuredConfig()
 {
-};
-
-TEST_P(CipEquivalenceTest, IncrementalMatchesBruteForce)
-{
-    const auto seed = static_cast<std::uint64_t>(GetParam());
-    const trace::Trace workload = pressuredWorkload(seed);
-
     core::EngineConfig config;
     config.cluster.workers = 2;
     config.cluster.total_memory_mb = 2 * 1024; // tight: constant churn
     config.record_per_request = true;
+    return config;
+}
 
-    std::vector<cluster::ContainerId> incremental_log;
-    std::vector<cluster::ContainerId> reference_log;
+core::OrchestrationPolicy
+incrementalBundle(std::vector<cluster::ContainerId> &log, double weight)
+{
+    return test::bundleOf(std::make_unique<CssScaling>(),
+                          std::make_unique<LoggingCip>(log, weight));
+}
 
-    core::Engine incremental(
-        workload, config,
-        test::bundleOf(std::make_unique<CssScaling>(),
-                       std::make_unique<LoggingCip>(incremental_log)));
-    const core::RunMetrics a = incremental.run();
-
+/** The brute-force run's eviction log and metrics. */
+core::RunMetrics
+runReference(const trace::Trace &workload, double weight,
+             std::vector<cluster::ContainerId> &log)
+{
     core::Engine reference(
-        workload, config,
+        workload, pressuredConfig(),
         test::bundleOf(std::make_unique<CssScaling>(),
-                       std::make_unique<BruteForceCip>(reference_log)));
-    const core::RunMetrics b = reference.run();
+                       std::make_unique<BruteForceCip>(log, weight)));
+    return reference.run();
+}
 
-    // The whole-run trajectories must coincide: same evictions in the
-    // same order, same per-request outcomes, bit-equal aggregates.
+/**
+ * The whole-run trajectories must coincide: same evictions in the same
+ * order, same per-request outcomes, bit-equal aggregates.
+ */
+void
+expectSameTrajectory(const std::vector<cluster::ContainerId> &incremental_log,
+                     const std::vector<cluster::ContainerId> &reference_log,
+                     const core::RunMetrics &a, const core::RunMetrics &b)
+{
     EXPECT_GT(reference_log.size(), 0u) << "workload exerted no pressure";
     ASSERT_EQ(incremental_log.size(), reference_log.size());
     for (std::size_t i = 0; i < reference_log.size(); ++i) {
@@ -172,8 +188,64 @@ TEST_P(CipEquivalenceTest, IncrementalMatchesBruteForce)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CipEquivalenceTest,
-                         ::testing::Range(1, 9));
+/** (cip-weight, workload seed). */
+class CipEquivalenceTest
+    : public ::testing::TestWithParam<std::tuple<double, int>>
+{
+};
+
+TEST_P(CipEquivalenceTest, IncrementalMatchesBruteForce)
+{
+    const auto [weight, seed] = GetParam();
+    const trace::Trace workload =
+        pressuredWorkload(static_cast<std::uint64_t>(seed));
+
+    std::vector<cluster::ContainerId> incremental_log;
+    core::Engine incremental(workload, pressuredConfig(),
+                             incrementalBundle(incremental_log, weight));
+    const core::RunMetrics a = incremental.run();
+
+    std::vector<cluster::ContainerId> reference_log;
+    const core::RunMetrics b = runReference(workload, weight, reference_log);
+    expectSameTrajectory(incremental_log, reference_log, a, b);
+}
+
+TEST_P(CipEquivalenceTest, ResumedIncrementalMatchesBruteForce)
+{
+    const auto [weight, seed] = GetParam();
+    const trace::Trace workload =
+        pressuredWorkload(static_cast<std::uint64_t>(seed));
+
+    // Run the incremental engine to mid-trace, checkpoint it, and finish
+    // in a freshly built engine: its buckets, recorded bonuses and scan
+    // stamps come only from the checkpoint.
+    std::vector<cluster::ContainerId> incremental_log;
+    std::vector<std::byte> state;
+    {
+        core::Engine first_half(workload, pressuredConfig(),
+                                incrementalBundle(incremental_log, weight));
+        first_half.begin();
+        first_half.stepUntil(workload.duration() / 2);
+        sim::StateWriter writer;
+        first_half.saveState(writer);
+        state = writer.release();
+    }
+    ASSERT_GT(incremental_log.size(), 0u) << "no eviction before the cut";
+    core::Engine resumed(workload, pressuredConfig(),
+                         incrementalBundle(incremental_log, weight));
+    sim::StateReader reader(state);
+    resumed.loadState(reader);
+    const core::RunMetrics a = resumed.finish();
+
+    std::vector<cluster::ContainerId> reference_log;
+    const core::RunMetrics b = runReference(workload, weight, reference_log);
+    expectSameTrajectory(incremental_log, reference_log, a, b);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    WeightsAndSeeds, CipEquivalenceTest,
+    ::testing::Combine(::testing::Values(0.0, 1.0, 4.0),
+                       ::testing::Range(1, 9)));
 
 } // namespace
 } // namespace cidre::policies
